@@ -7,6 +7,9 @@ per-expert angle that rotates the expert's r-dimensional intermediate inside a
 plane anchored at a learned center vector; "scaling_only" is the conventional
 gate-values-only baseline, and "mlp_gate" swaps the linear scaling gate for a
 two-layer MLP of matched trainable size.
+
+`forward` handles one input and is the oracle of `forward_batch`, which
+handles a batch with its rows grouped per expert and gives the same bits.
 """
 
 from __future__ import annotations
@@ -26,10 +29,22 @@ from .numkit import (
     Vector,
     kaiming_uniform,
     matvec,
+    row_softmax,
+    rowwise_matvec,
+    rowwise_vecmat,
     sigmoid,
     softmax,
 )
-from .rotation import RotationPlane, apply_rotation, build_plane, rotation_matrix_2d
+from .rotation import (
+    PlaneBatch,
+    RotationPlane,
+    apply_rotation,
+    apply_rotations,
+    build_plane,
+    build_planes,
+    rotation_matrices_2d,
+    rotation_matrix_2d,
+)
 
 MODES = ("scaling_only", "rotmole", "mlp_gate")
 
@@ -100,8 +115,6 @@ class ForwardCache:
 
     config: AdapterConfig
     x: Vector
-    gate_softmax: Vector  # softmax over all n logits
-    renorm_sum: float  # sum of softmax values over the selected set
     decision: RoutingDecision
     theta_logits: Vector  # raw rotation-gate logits for selected experts
     us: list[Vector]  # A_i x per selected expert
@@ -110,6 +123,38 @@ class ForwardCache:
     deltas: list[Vector]  # B_i (rotated) per selected expert
     mlp_pre: Vector | None = None
     mlp_hidden: Vector | None = None
+
+
+@dataclass
+class ExpertRows:
+    """The rows of a batch routed to one expert, in sample order, and what
+    `forward_batch` computed for them."""
+
+    expert: int
+    rows: np.ndarray  # (m,) sample indices, ascending
+    pos: np.ndarray  # (m,) the expert's top-k position in each of those rows
+    us: Matrix  # (m, r) A_i x per row
+    rotated: Matrix  # (m, r)
+    cos: Vector | None = None  # rotmole: cos and sin of each row's angle
+    sin: Vector | None = None
+    rotations: np.ndarray | None = None  # rotmole, r = 2: (m, 2, 2) matrices
+    planes: PlaneBatch | None = None  # rotmole, r > 2
+
+
+@dataclass
+class BatchCache:
+    """What the batched backward pass needs from one `forward_batch` call."""
+
+    config: AdapterConfig
+    xs: Matrix  # (B, d)
+    selected: np.ndarray  # (B, k) expert indices, each row in descending gate order
+    g: Matrix  # (B, k) renormalized gate values
+    theta: Matrix  # (B, k) angles, zeros outside rotmole mode
+    theta_sig: Matrix  # (B, k) sigmoid of the angle-gate logits, zeros outside rotmole
+    deltas: np.ndarray  # (B, k, d) B_i (rotated) per selected expert
+    groups: list[ExpertRows]  # one per expert with at least one row, by expert index
+    mlp_pre: Matrix | None = None
+    mlp_hidden: Matrix | None = None
 
 
 def count_trainable_routing_params(config: AdapterConfig) -> int:
@@ -175,13 +220,12 @@ def _route_full(layer: AdapterLayer, x: Vector, force_selected=None):
     if x.ndim != 1 or x.shape[0] != config.d:
         raise ShapeError(f"route: input shape {x.shape} does not match d={config.d}")
     logits, mlp_pre, mlp_hidden = _gate_logits(layer, x)
-    s = softmax(logits)
     if force_selected is None:
+        s = softmax(logits)
         order = sorted(range(config.n), key=lambda i: (-s[i], i))
         selected = tuple(order[: config.k])
     else:
         selected = tuple(force_selected)
-    renorm = float(np.sum(s[list(selected)]))
     # Renormalizing the selected softmax values cancels the full denominator,
     # so compute g directly from the selected logits: same value, and exactly
     # independent of unselected logits.
@@ -194,12 +238,12 @@ def _route_full(layer: AdapterLayer, x: Vector, force_selected=None):
             theta_logits[pos] = t
             theta[pos] = _clamp_angle(2.0 * math.pi * sigmoid(t) - math.pi)
     decision = RoutingDecision(selected, g, theta)
-    return decision, s, renorm, theta_logits, mlp_pre, mlp_hidden
+    return decision, theta_logits, mlp_pre, mlp_hidden
 
 
 def route(layer: AdapterLayer, x: Vector) -> RoutingDecision:
     """Top-k selection on scaling-gate values, renormalized, plus angles."""
-    decision, _, _, _, _, _ = _route_full(layer, x)
+    decision, _, _, _ = _route_full(layer, x)
     return decision
 
 
@@ -213,9 +257,7 @@ def forward(
     parameters are perturbed.
     """
     config = layer.config
-    decision, s, renorm, theta_logits, mlp_pre, mlp_hidden = _route_full(
-        layer, x, force_selected
-    )
+    decision, theta_logits, mlp_pre, mlp_hidden = _route_full(layer, x, force_selected)
     y = matvec(layer.w0, x)
     us, planes, rotated, deltas = [], [], [], []
     for pos, i in enumerate(decision.selected):
@@ -240,8 +282,6 @@ def forward(
     cache = ForwardCache(
         config=config,
         x=x,
-        gate_softmax=s,
-        renorm_sum=renorm,
         decision=decision,
         theta_logits=theta_logits,
         us=us,
@@ -252,6 +292,64 @@ def forward(
         mlp_hidden=mlp_hidden,
     )
     return y, cache
+
+
+def forward_batch(layer: AdapterLayer, xs: Matrix) -> tuple[Matrix, BatchCache]:
+    """`forward` of every row of xs at once; row j of the output is
+    `forward(layer, xs[j])[0]` bit for bit.
+
+    Rows are grouped per expert, in sample order, so each expert's matrices
+    meet all of its rows in one stacked product. Every product is a row-wise
+    form of the one `forward` uses (see numkit), ranking is a stable sort of
+    the same softmax values, and the angle gate's sigmoid, cosine and sine
+    are taken per value with the same scalar functions, so the per-sample
+    `forward` is the oracle of this path.
+    """
+    config = layer.config
+    if xs.ndim != 2 or xs.shape[1] != config.d:
+        raise ShapeError(f"forward_batch: input shape {xs.shape} does not match d={config.d}")
+    router = layer.router
+    mlp_pre = mlp_hidden = None
+    if config.mode == "mlp_gate":
+        mlp_pre = rowwise_vecmat(xs, router.mlp_w1)
+        mlp_hidden = np.maximum(mlp_pre, 0.0)
+        logits = rowwise_vecmat(mlp_hidden, router.mlp_w2)
+    else:
+        logits = rowwise_vecmat(xs, router.w_g)
+    selected = np.argsort(-row_softmax(logits), axis=1, kind="stable")[:, : config.k]
+    g = row_softmax(np.take_along_axis(logits, selected, axis=1))
+    theta = np.zeros(selected.shape)
+    theta_sig = np.zeros(selected.shape)
+    deltas = np.zeros(selected.shape + (config.d,))
+    groups = []
+    for i, expert in enumerate(layer.experts):
+        rows, pos = np.nonzero(selected == i)
+        if rows.size == 0:
+            continue
+        x_i = xs[rows]
+        us = rowwise_matvec(expert.a, x_i)
+        group = ExpertRows(i, rows, pos, us, us)
+        if config.mode == "rotmole":
+            t_logits = rowwise_vecmat(x_i, router.w_theta[:, i : i + 1])[:, 0]
+            sig = np.array([sigmoid(t) for t in t_logits.tolist()])
+            angles = np.clip(2.0 * math.pi * sig - math.pi, -THETA_LIMIT, THETA_LIMIT)
+            theta[rows, pos] = angles
+            theta_sig[rows, pos] = sig
+            group.cos = np.array([math.cos(t) for t in angles.tolist()])
+            group.sin = np.array([math.sin(t) for t in angles.tolist()])
+            if config.r == 2:
+                group.rotations = rotation_matrices_2d(group.cos, group.sin)
+                group.rotated = np.matmul(group.rotations, us[:, :, None])[:, :, 0]
+            else:
+                group.planes = build_planes(us, router.q[i], config.eps_degenerate)
+                group.rotated = apply_rotations(us, group.planes, group.cos, group.sin)
+        deltas[rows, pos] = rowwise_matvec(expert.b, group.rotated)
+        groups.append(group)
+    ys = rowwise_matvec(layer.w0, xs)
+    for p in range(config.k):
+        ys = ys + g[:, p : p + 1] * deltas[:, p]
+    cache = BatchCache(config, xs, selected, g, theta, theta_sig, deltas, groups, mlp_pre, mlp_hidden)
+    return ys, cache
 
 
 # ---------------------------------------------------------------------------

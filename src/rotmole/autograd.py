@@ -11,6 +11,10 @@ sides differentiate the same function.
 Gradients are plain dicts keyed by the group names of
 adapter.trainable_params ("a0", "b0", ..., "w_g", "w_theta", "q", "mlp_w1",
 "mlp_w2").
+
+backward_batch() differentiates one adapter.forward_batch call and returns
+the sum of the per-row backward() dicts, bit for bit; backward() stays as its
+oracle.
 """
 
 from __future__ import annotations
@@ -24,12 +28,24 @@ import numpy as np
 from .adapter import (
     AdapterConfig,
     AdapterLayer,
+    BatchCache,
+    ExpertRows,
     ForwardCache,
     forward,
     init_adapter,
     trainable_params,
 )
-from .numkit import ConfigError, Rng, Vector, kaiming_uniform, sigmoid
+from .numkit import (
+    ConfigError,
+    Matrix,
+    Rng,
+    Vector,
+    kaiming_uniform,
+    rowwise_dot,
+    rowwise_matvec,
+    sigmoid,
+    sum_rows,
+)
 from .rotation import build_plane, rotation_matrix_2d
 
 Gradients = Dict[str, np.ndarray]
@@ -111,6 +127,96 @@ def backward(layer: AdapterLayer, cache: ForwardCache, dl_dy: Vector) -> Gradien
     else:
         grads["w_g"] += np.outer(x, logits_bar)
     return grads
+
+
+def backward_batch(layer: AdapterLayer, cache: BatchCache, dl_dy: Matrix) -> Gradients:
+    """Sum over rows of `backward(layer, cache_j, dl_dy[j])`, bit for bit.
+
+    Each expert's rows are differentiated as one stack, and every gradient
+    array is one reduction over its terms in sample order, which is the order
+    in which summing the per-row dicts adds them.
+    """
+    config = layer.config
+    if cache.config != config:
+        raise ValueError("backward_batch: cache was produced by a layer with a different config")
+    if dl_dy.shape != cache.xs.shape:
+        raise ValueError("backward_batch: gradient shape does not match the batch")
+    grads = zero_gradients(layer)
+    xs = cache.xs
+    gamma = np.zeros(cache.selected.shape)  # dL/dg per row and selected expert
+    for group in cache.groups:
+        i, rows, pos = group.expert, group.rows, group.pos
+        dy, x = dl_dy[rows], xs[rows]
+        gamma[rows, pos] = rowwise_dot(dy, cache.deltas[rows, pos])
+        g = cache.g[rows, pos]
+        grads[f"b{i}"] += sum_rows(g[:, None, None] * (dy[:, :, None] * group.rotated[:, None, :]))
+        rot_bar = g[:, None] * rowwise_matvec(layer.experts[i].b.T, dy)
+        if config.mode != "rotmole":
+            u_bar = rot_bar
+        else:
+            if config.r == 2:
+                c, s, u = group.cos, group.sin, group.us
+                turn = np.stack([-s * u[:, 0] - c * u[:, 1], c * u[:, 0] - s * u[:, 1]], axis=1)
+                theta_bar = rowwise_dot(rot_bar, turn)
+                u_bar = np.matmul(group.rotations.transpose(0, 2, 1), rot_bar[:, :, None])[:, :, 0]
+            else:
+                u_bar, theta_bar = _plane_backward(layer, group, rot_bar, grads)
+            # Rows that backward() skips (theta_bar = 0) add exact zeros here.
+            sig = cache.theta_sig[rows, pos]
+            t_bar = theta_bar * 2.0 * math.pi * sig * (1.0 - sig)
+            grads["w_theta"][:, i] += sum_rows(t_bar[:, None] * x)
+        grads[f"a{i}"] += sum_rows(u_bar[:, :, None] * x[:, None, :])
+
+    g = cache.g
+    logits_bar = np.zeros((xs.shape[0], config.n))
+    np.put_along_axis(
+        logits_bar, cache.selected, g * (gamma - rowwise_dot(g, gamma)[:, None]), axis=1
+    )
+    # The gate-weight gradients are summed one column at a time, which keeps
+    # the stack of terms at (rows, d). A w_g column takes only its expert's
+    # rows: the other rows' terms are exact zeros, which leave the sum as is.
+    if config.mode == "mlp_gate":
+        grads["mlp_w2"] += sum_rows(cache.mlp_hidden[:, :, None] * logits_bar[:, None, :])
+        hidden_bar = rowwise_matvec(layer.router.mlp_w2, logits_bar)
+        pre_bar = hidden_bar * (cache.mlp_pre > 0.0)
+        for j in range(pre_bar.shape[1]):
+            grads["mlp_w1"][:, j] += sum_rows(xs * pre_bar[:, j : j + 1])
+    else:
+        for group in cache.groups:
+            i, rows = group.expert, group.rows
+            grads["w_g"][:, i] += sum_rows(xs[rows] * logits_bar[rows, i : i + 1])
+    return grads
+
+
+def _plane_backward(
+    layer: AdapterLayer, group: ExpertRows, rot_bar: Matrix, grads: Gradients
+) -> tuple[Matrix, Vector]:
+    """Row-wise form of backward()'s path through the in-plane rotation and
+    the Gram-Schmidt plane, for one expert's rows. Adds the anchor gradient
+    into grads["q"]; returns dL/du and dL/dtheta per row. Degenerate rows
+    rotate as the identity, so they pass rot_bar through and get no angle or
+    anchor gradient."""
+    u_bar = rot_bar.copy()
+    theta_bar = np.zeros(rot_bar.shape[0])
+    live = ~group.planes.degenerate
+    if not live.any():
+        return u_bar, theta_bar
+    planes = group.planes
+    e1, e2 = planes.e1[live], planes.e2[live]
+    norm_u, proj = planes.u_norm[live, None], planes.q_dot_e1[live, None]
+    resid_norm = planes.resid_norm[live, None]
+    c, s = group.cos[live, None], group.sin[live, None]
+    u, r_bar = group.us[live], rot_bar[live]
+    q_vec = layer.router.q[group.expert]
+    theta_bar[live] = rowwise_dot(r_bar, -s * u + (c * norm_u) * e2)
+    e2_bar = (s * norm_u) * r_bar
+    norm_u_bar = s * rowwise_dot(r_bar, e2)[:, None]
+    resid_bar = (e2_bar - rowwise_dot(e2_bar, e2)[:, None] * e2) / resid_norm
+    resid_e1 = rowwise_dot(resid_bar, e1)[:, None]
+    grads["q"][group.expert] += sum_rows(resid_bar - resid_e1 * e1)
+    e1_bar = -resid_e1 * q_vec - proj * resid_bar
+    u_bar[live] = c * r_bar + norm_u_bar * e1 + (e1_bar - rowwise_dot(e1_bar, e1)[:, None] * e1) / norm_u
+    return u_bar, theta_bar
 
 
 def finite_diff_grad(

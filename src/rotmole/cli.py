@@ -310,6 +310,12 @@ def _load_theta_records(path: Path) -> list[ThetaRecord]:
 def cmd_analyze(thetas_path: str, snapshots: list[int], bins: int) -> int:
     path = Path(thetas_path)
     records = _load_theta_records(path)
+    logged = sorted({r.step for r in records})
+    if not set(snapshots) & set(logged):
+        raise ConfigError(
+            f"--snapshots {','.join(map(str, snapshots))} names no logged step; "
+            f"{path} logs {len(logged)} steps from {logged[0]} to {logged[-1]}"
+        )
     summaries = summarize(records, snapshots, bins)
     out = path.parent / "summary.csv"
     write_summary_csv(summaries, out)

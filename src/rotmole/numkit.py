@@ -63,29 +63,41 @@ class Rng:
 
     def normal(self) -> float:
         """Standard normal via Box-Muller; consumes two uniform draws."""
-        u1 = 1.0 - self.next_float()
-        u2 = self.next_float()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+        return float(self.normals(1)[0])
 
     def floats(self, count: int) -> Vector:
         """Vector of uniforms in [0, 1); bit-identical to `count` next_float calls."""
-        idx = np.arange(1, count + 1, dtype=np.uint64)
-        z = np.uint64(self._state) + idx * np.uint64(_GAMMA)
+        # In-place steps keep large draws to two arrays at a time.
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)
         self._state = (self._state + count * _GAMMA) & _MASK64
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
-        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        for shift, mult in ((30, _MIX1), (27, _MIX2)):
+            z ^= z >> np.uint64(shift)
+            z *= np.uint64(mult)
+        z ^= z >> np.uint64(31)
+        z >>= np.uint64(11)
+        out = z.astype(np.float64)
+        out *= 2.0**-53
+        return out
 
     def uniforms(self, count: int, lo: float, hi: float) -> Vector:
         return lo + (hi - lo) * self.floats(count)
 
     def normals(self, count: int) -> Vector:
-        """Vector of standard normals; bit-identical to `count` normal() calls."""
+        """Vector of standard normals; bit-identical to `count` normal() calls.
+
+        Each value consumes two consecutive uniforms, so normals(a) followed
+        by normals(b) draws exactly normals(a + b).
+        """
         u = self.floats(2 * count)
-        u1 = 1.0 - u[0::2]
-        u2 = u[1::2]
-        return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+        radius = np.log(1.0 - u[0::2])
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        turn = 2.0 * np.pi * u[1::2]
+        np.cos(turn, out=turn)
+        radius *= turn
+        return radius
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +145,55 @@ def axpy(alpha: float, x: Vector, y: Vector) -> Vector:
     return alpha * x + y
 
 
+# Row-wise forms of the products above. Each gives, row for row, the bits of
+# the one-vector product it replaces: numpy runs a stacked matmul as one BLAS
+# call per row with the same shapes and strides, whereas `xs @ m.T` or einsum
+# would block the sums differently.
+
+
+def rowwise_matvec(m: Matrix, xs: Matrix) -> Matrix:
+    """Row j is `m @ xs[j]`."""
+    return np.matmul(m, xs[:, :, None])[:, :, 0]
+
+
+def rowwise_vecmat(xs: Matrix, m: Matrix) -> Matrix:
+    """Row j is `xs[j] @ m`; with a one-column m, also the strided dot `xs[j] @ m[:, 0]`."""
+    return np.matmul(xs[:, None, :], m)[:, 0, :]
+
+
+def rowwise_dot(a: Matrix, b: Matrix) -> Vector:
+    """Entry j is `a[j] @ b[j]`."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def sum_rows(terms: np.ndarray) -> np.ndarray:
+    """Sum over the first axis, added in row order starting from zero.
+
+    Equal bit for bit to `acc = zeros; for t in terms: acc += t`. numpy adds
+    the rows of a C-contiguous stack one after another when each row holds at
+    least two entries; rows of one entry it would sum pairwise, so those take
+    a running sum instead.
+    """
+    acc = np.zeros(terms.shape[1:])
+    if terms.shape[0] == 0:
+        return acc
+    if acc.size >= 2:
+        return acc + np.add.reduce(np.ascontiguousarray(terms), axis=0)
+    return acc + np.cumsum(terms, axis=0)[-1]
+
+
 def softmax(logits: Vector) -> Vector:
     """Stable softmax: subtract the max before exponentiating."""
     shifted = logits - np.max(logits)
     e = np.exp(shifted)
     return e / np.sum(e)
+
+
+def row_softmax(logits: Matrix) -> Matrix:
+    """`softmax` of every row, bit for bit."""
+    shifted = logits - np.max(logits, axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=1, keepdims=True)
 
 
 def sigmoid(x: float) -> float:

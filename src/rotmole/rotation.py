@@ -6,6 +6,10 @@ theta inside that plane and as the identity on its orthogonal complement, so
 theta = 0 is always the identity map. Planes whose construction is numerically
 ill-posed (u near zero, or q near parallel to u) are flagged degenerate and
 rotate as the identity.
+
+`build_planes`, `apply_rotations` and `rotation_matrices_2d` are the row-wise
+forms used by the batched paths: row for row they give the bits of the
+one-vector functions, which stay as their oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numkit import ConfigError, Matrix, Vector, l2_norm
+from .numkit import ConfigError, Matrix, Vector, l2_norm, rowwise_dot
 
 
 @dataclass(frozen=True)
@@ -65,6 +69,56 @@ def build_plane(u: Vector, q: Vector, eps: float = DEGENERATE_EPS) -> RotationPl
     if resid_norm <= eps:
         return RotationPlane(None, None, True, u_norm=u_norm, q_dot_e1=proj)
     return RotationPlane(e1, resid / resid_norm, False, u_norm, proj, resid_norm)
+
+
+@dataclass(frozen=True)
+class PlaneBatch:
+    """The planes of many inputs u against one anchor q, one row per input.
+
+    Fields hold what `build_plane` computes for each row. Rows flagged in
+    `degenerate` rotate as the identity; their basis rows are meaningless.
+    """
+
+    e1: Matrix  # (m, r)
+    e2: Matrix  # (m, r)
+    degenerate: np.ndarray  # (m,) bool
+    u_norm: Vector
+    q_dot_e1: Vector
+    resid_norm: Vector
+
+
+def build_planes(us: Matrix, q: Vector, eps: float = DEGENERATE_EPS) -> PlaneBatch:
+    """`build_plane(us[j], q, eps)` for every row j, as arrays."""
+    if us.ndim != 2 or us.shape[1] < 2:
+        raise ConfigError(f"build_planes: need rows of dimension >= 2, got {us.shape}")
+    if eps <= 0.0:
+        raise ConfigError(f"build_planes: eps must be positive, got {eps}")
+    u_norm = np.sqrt(rowwise_dot(us, us))
+    short = u_norm <= eps
+    e1 = us / np.where(short, 1.0, u_norm)[:, None]
+    proj = np.matmul(q, e1[:, :, None])[:, 0]  # q @ e1 per row, operands in build_plane's order
+    resid = q - proj[:, None] * e1
+    resid_norm = np.sqrt(rowwise_dot(resid, resid))
+    degenerate = short | (resid_norm <= eps)
+    e2 = resid / np.where(degenerate, 1.0, resid_norm)[:, None]
+    return PlaneBatch(e1, e2, degenerate, u_norm, proj, resid_norm)
+
+
+def apply_rotations(us: Matrix, planes: PlaneBatch, cos: Vector, sin: Vector) -> Matrix:
+    """`apply_rotation(us[j], plane j, theta_j)` for every row j, given
+    cos(theta_j) and sin(theta_j); degenerate rows come back unchanged."""
+    turned = cos[:, None] * us + (sin * planes.u_norm)[:, None] * planes.e2
+    return np.where(planes.degenerate[:, None], us, turned)
+
+
+def rotation_matrices_2d(cos: Vector, sin: Vector) -> np.ndarray:
+    """Stack of `rotation_matrix_2d(theta_j)`, (m, 2, 2), from cos and sin of each angle."""
+    mats = np.empty((cos.shape[0], 2, 2))
+    mats[:, 0, 0] = cos
+    mats[:, 0, 1] = -sin
+    mats[:, 1, 0] = sin
+    mats[:, 1, 1] = cos
+    return mats
 
 
 def planar_coords(v: Vector, plane: RotationPlane) -> PlanarCoords:

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .numkit import ConfigError, Matrix, Rng, Vector, kaiming_uniform, l2_norm
-from .rotation import DEGENERATE_EPS, apply_rotation, build_plane
+from .numkit import ConfigError, Matrix, Rng, Vector, kaiming_uniform, l2_norm, rowwise_matvec
+from .rotation import DEGENERATE_EPS, apply_rotation, apply_rotations, build_plane, build_planes
 
 FLOOR_RNG_SALT = 0x666C6F6F72  # decouples the oracle's sample stream from training data
 FLOOR_ANGLE_STEP = 0.01
@@ -35,6 +35,10 @@ FLOOR_SCALE_MAX = 2.0
 # conditioned.
 SIGNAL_GAIN = 6.0
 PLANE_MIX = 0.5
+
+# Most normals `sample_batch` takes from the rng in one call; splitting a
+# draw leaves the stream as is and keeps the draw's arrays small at large d.
+DRAW_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -121,6 +125,17 @@ def target_output(spec: TaskSpec, x: Vector) -> Vector:
     return spec.w0_star @ x + spec.b_star @ apply_rotation(u, plane, spec.phi)
 
 
+def target_outputs(spec: TaskSpec, xs: Matrix) -> Matrix:
+    """`target_output(spec, xs[j])` for every row j, bit for bit."""
+    us = rowwise_matvec(spec.a_star, xs)
+    planes = build_planes(us, spec.q_star, DEGENERATE_EPS)
+    m = xs.shape[0]
+    turned = apply_rotations(
+        us, planes, np.full(m, math.cos(spec.phi)), np.full(m, math.sin(spec.phi))
+    )
+    return rowwise_matvec(spec.w0_star, xs) + rowwise_matvec(spec.b_star, turned)
+
+
 def _draw_input(cfg: DatasetConfig, task_id: int, rng: Rng) -> Vector:
     x = np.zeros(cfg.d)
     x[: cfg.d - cfg.n_task] = rng.normals(cfg.d - cfg.n_task)
@@ -129,16 +144,32 @@ def _draw_input(cfg: DatasetConfig, task_id: int, rng: Rng) -> Vector:
 
 
 def sample_batch(specs: list[TaskSpec], cfg: DatasetConfig, rng: Rng) -> list[Sample]:
-    """One balanced batch: tasks interleaved round-robin, exact equal counts."""
+    """One balanced batch: tasks interleaved round-robin, exact equal counts.
+
+    Sample j draws its free input entries and then its output noise from
+    `rng`. The batch takes all of its draws in a few large `normals` calls,
+    which give the same stream, and its targets from `target_outputs` per
+    task, so it equals a loop of `_draw_input` and `target_output` per sample.
+    """
     if not specs:
         raise ValueError("sample_batch: specs must be nonempty")
-    batch = []
-    for _ in range(cfg.samples_per_task_per_batch):
-        for spec in specs:
-            x = _draw_input(cfg, spec.task_id, rng)
-            y = target_output(spec, x) + cfg.noise_std * rng.normals(cfg.d)
-            batch.append(Sample(spec.task_id, x, y))
-    return batch
+    free = cfg.d - cfg.n_task
+    width = free + cfg.d  # normals drawn per sample
+    m = cfg.samples_per_task_per_batch * len(specs)
+    draws = np.empty((m, width))
+    step = max(1, DRAW_BLOCK // width)
+    for start in range(0, m, step):
+        block = draws[start : start + step]
+        block[...] = rng.normals(block.size).reshape(block.shape)
+    task_ids = [spec.task_id for spec in specs] * cfg.samples_per_task_per_batch
+    xs = np.zeros((m, cfg.d))
+    xs[:, :free] = draws[:, :free]
+    xs[np.arange(m), free + np.array(task_ids)] = 1.0
+    ys = np.empty((m, cfg.d))
+    for t, spec in enumerate(specs):
+        rows = slice(t, m, len(specs))
+        ys[rows] = target_outputs(spec, xs[rows]) + cfg.noise_std * draws[rows, free:]
+    return [Sample(task_id, x, y) for task_id, x, y in zip(task_ids, xs, ys)]
 
 
 def export_jsonl(samples: list[Sample], path) -> None:

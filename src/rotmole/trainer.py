@@ -4,6 +4,11 @@ Each step draws one balanced batch, averages per-sample squared-error
 gradients, and applies a single update. The frozen base matrix never moves.
 Angles of a probed expert are snapshotted at logging steps for the
 distribution analysis.
+
+Training and evaluation run the whole batch at once through
+adapter.forward_batch and autograd.backward_batch. Their results equal, bit
+for bit, a loop of the per-sample forward and backward over the batch, which
+stay as the oracle that certifies them.
 """
 
 from __future__ import annotations
@@ -13,10 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapter import AdapterLayer, forward, trainable_params
-from .autograd import backward, zero_gradients
+# forward, backward and zero_gradients are the per-sample oracle of the
+# batched path. They stay importable here because benchmarks/spans.py patches
+# them on this module to time them.
+from .adapter import AdapterLayer, forward, forward_batch, trainable_params  # noqa: F401
+from .autograd import backward, backward_batch, zero_gradients  # noqa: F401
 from .numkit import ConfigError, Rng
 from .synth import DatasetConfig, Sample, TaskSpec, sample_batch
+
+
+EVAL_BLOCK_VALUES = 16384  # entries of one (samples, d) array in `evaluate`
 
 
 class TrainingDiverged(RuntimeError):
@@ -48,7 +59,7 @@ class MetricsRecord:
     per_task_mse: dict[int, float]  # evaluation after the update
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThetaRecord:
     step: int
     task_id: int
@@ -62,17 +73,31 @@ def lr_schedule(step: int, cfg: TrainConfig) -> float:
     return cfg.lr0 * (1.0 - step / cfg.steps)
 
 
-def sample_mse(layer: AdapterLayer, sample: Sample) -> float:
-    y_hat, _ = forward(layer, sample.x)
-    return float(np.mean((y_hat - sample.y) ** 2))
+def _stack(samples: list[Sample]) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([s.x for s in samples]), np.array([s.y for s in samples])
+
+
+def _row_mse(err: np.ndarray) -> list[float]:
+    """Mean square of each row, as np.mean computes it for one vector."""
+    return np.mean(err**2, axis=1).tolist()
 
 
 def evaluate(layer: AdapterLayer, samples: list[Sample]) -> dict[int, float]:
-    """Mean squared error per output component, grouped by task."""
+    """Mean squared error per output component, grouped by task.
+
+    Samples go through the batched forward in blocks of EVAL_BLOCK_VALUES / d,
+    which bounds the size of its arrays; no row's result depends on the block.
+    """
+    block = max(1, EVAL_BLOCK_VALUES // layer.config.d)
+    mses: list[float] = []
+    for start in range(0, len(samples), block):
+        xs, ys = _stack(samples[start : start + block])
+        y_hat, _ = forward_batch(layer, xs)
+        mses.extend(_row_mse(y_hat - ys))
     totals: dict[int, float] = {}
     counts: dict[int, int] = {}
-    for sample in samples:
-        totals[sample.task_id] = totals.get(sample.task_id, 0.0) + sample_mse(layer, sample)
+    for sample, mse in zip(samples, mses):
+        totals[sample.task_id] = totals.get(sample.task_id, 0.0) + mse
         counts[sample.task_id] = counts.get(sample.task_id, 0) + 1
     return {t: totals[t] / counts[t] for t in sorted(totals)}
 
@@ -98,23 +123,19 @@ def train(
     params = trainable_params(layer)
     for step in range(train_cfg.steps):
         batch = sample_batch(specs, data_cfg, data_rng)
-        log_theta = step % train_cfg.theta_log_every == 0 or step == train_cfg.steps - 1
-        grads = zero_gradients(layer)
+        xs, ys = _stack(batch)
+        y_hat, cache = forward_batch(layer, xs)
+        err = y_hat - ys
         loss = 0.0
-        for sample in batch:
-            y_hat, cache = forward(layer, sample.x)
-            err = y_hat - sample.y
-            loss += float(np.mean(err**2))
-            sample_grads = backward(layer, cache, 2.0 * err / (d * batch_size))
-            for name in grads:
-                grads[name] += sample_grads[name]
-            if log_theta and probe_expert in cache.decision.selected:
-                pos = cache.decision.selected.index(probe_expert)
-                thetas.append(
-                    ThetaRecord(
-                        step, sample.task_id, probe_expert, float(cache.decision.theta[pos])
-                    )
-                )
+        for mse in _row_mse(err):  # summed in sample order, as floats
+            loss += mse
+        grads = backward_batch(layer, cache, 2.0 * err / (d * batch_size))
+        if step % train_cfg.theta_log_every == 0 or step == train_cfg.steps - 1:
+            rows, pos = np.nonzero(cache.selected == probe_expert)
+            thetas.extend(
+                ThetaRecord(step, batch[j].task_id, probe_expert, theta)
+                for j, theta in zip(rows.tolist(), cache.theta[rows, pos].tolist())
+            )
         loss /= batch_size
         if not math.isfinite(loss):
             raise TrainingDiverged(f"non-finite training loss at step {step}")

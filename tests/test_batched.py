@@ -1,0 +1,335 @@
+"""The batched training path against its per-sample oracle.
+
+Every comparison is np.array_equal or ==: the batched forward, backward,
+sampler, training loop and evaluation must reproduce the per-sample
+functions bit for bit, which is what keeps the acceptance goldens exact.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from rotmole import synth, trainer
+from rotmole.adapter import (
+    THETA_LIMIT,
+    AdapterConfig,
+    forward,
+    forward_batch,
+    init_adapter,
+    mlp_variant,
+    trainable_params,
+)
+from rotmole.autograd import backward, backward_batch, randomize_layer, zero_gradients
+from rotmole.numkit import Rng
+from rotmole.rotation import apply_rotation, apply_rotations, build_plane, build_planes
+from rotmole.synth import (
+    DatasetConfig,
+    Sample,
+    _draw_input,
+    make_rotation_separable_tasks,
+    sample_batch,
+    target_output,
+    target_outputs,
+)
+from rotmole.trainer import (
+    MetricsRecord,
+    ThetaRecord,
+    TrainConfig,
+    evaluate,
+    lr_schedule,
+    train,
+)
+
+# (d, n, k, n_task): the acceptance shape and a shape with k = 2 of 4 experts.
+SHAPES = [(16, 1, 1, 2), (32, 4, 2, 4)]
+ARMS = ["rotmole", "rotmole_r2", "scaling_only", "mlp_gate"]
+
+
+def arm_config(arm, d, n, k):
+    base = AdapterConfig(d=d, r=3, n=n, k=k, mode="rotmole")
+    if arm == "rotmole_r2":
+        return replace(base, r=2)
+    if arm == "scaling_only":
+        return replace(base, mode="scaling_only")
+    if arm == "mlp_gate":
+        return mlp_variant(base)
+    return base
+
+
+def random_layer(config, seed):
+    rng = Rng(seed)
+    layer = init_adapter(config, rng)
+    randomize_layer(layer, rng)
+    return layer
+
+
+def per_sample(layer, xs, dl_dy):
+    """Outputs, decisions and summed gradients from the per-sample oracle."""
+    grads = zero_gradients(layer)
+    ys, decisions = [], []
+    for x, dl in zip(xs, dl_dy):
+        y, cache = forward(layer, x)
+        ys.append(y)
+        decisions.append(cache.decision)
+        sample_grads = backward(layer, cache, dl)
+        for name in grads:
+            grads[name] += sample_grads[name]
+    return np.array(ys), decisions, grads
+
+
+def assert_batch_matches_oracle(layer, xs, dl_dy):
+    ys_ref, decisions, grads_ref = per_sample(layer, xs, dl_dy)
+    ys, cache = forward_batch(layer, xs)
+    assert np.array_equal(ys, ys_ref)
+    assert [tuple(row) for row in cache.selected.tolist()] == [d.selected for d in decisions]
+    assert np.array_equal(cache.g, np.array([d.g for d in decisions]))
+    assert np.array_equal(cache.theta, np.array([d.theta for d in decisions]))
+    grads = backward_batch(layer, cache, dl_dy)
+    assert grads.keys() == grads_ref.keys()
+    for name in grads:
+        assert np.array_equal(grads[name], grads_ref[name]), name
+    return decisions
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("arm", ARMS)
+def test_forward_backward_batch_match_per_sample(arm, shape):
+    d, n, k, _ = shape
+    layer = random_layer(arm_config(arm, d, n, k), seed=11)
+    rng = Rng(12)
+    xs = rng.normals(64 * d).reshape(64, d)
+    dl_dy = rng.normals(64 * d).reshape(64, d) / (64 * d)
+    assert_batch_matches_oracle(layer, xs, dl_dy)
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (4, 2)])
+def test_degenerate_plane_rows_match_per_sample(n, k):
+    d = 16 if n == 1 else 32
+    layer = random_layer(AdapterConfig(d=d, r=3, n=n, k=k, mode="rotmole"), seed=21)
+    rng = Rng(22)
+    xs = rng.normals(16 * d).reshape(16, d)
+    xs[0] = 0.0  # A_i x = 0: the plane has no first axis
+    for i, expert in enumerate(layer.experts):
+        layer.router.q[i] = 2.0 * (expert.a @ xs[1])  # q_i parallel to A_i x: no residual
+    dl_dy = rng.normals(16 * d).reshape(16, d)
+    decisions = assert_batch_matches_oracle(layer, xs, dl_dy)
+    for row in (0, 1):
+        _, cache = forward(layer, xs[row])
+        assert all(plane.degenerate for plane in cache.planes)
+    assert decisions[1].theta.any()  # the angle is live, only the plane is not
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_saturated_angles_match_per_sample(r):
+    layer = random_layer(AdapterConfig(d=16, r=r, n=4, k=2, mode="rotmole"), seed=25)
+    rng = Rng(26)
+    xs = rng.normals(16 * 16).reshape(16, 16)
+    xs[:8] *= 1e4  # angle-gate logits of order 1e4: the sigmoid saturates to 0 or 1
+    dl_dy = rng.normals(16 * 16).reshape(16, 16)
+    decisions = assert_batch_matches_oracle(layer, xs, dl_dy)
+    assert any(abs(t) == THETA_LIMIT for d in decisions for t in d.theta)
+
+
+@pytest.mark.parametrize("mode", ["rotmole", "scaling_only", "mlp_gate"])
+def test_top_k_tie_matches_per_sample(mode):
+    config = arm_config(mode, 32, 4, 2)
+    layer = random_layer(config, seed=31)
+    router = layer.router
+    if mode == "mlp_gate":
+        router.mlp_w2[:, 2] = router.mlp_w2[:, 1]
+    else:
+        router.w_g[:, 2] = router.w_g[:, 1]
+    rng = Rng(32)
+    xs = rng.normals(64 * 32).reshape(64, 32)
+    xs[5] = 0.0  # every logit equal
+    dl_dy = rng.normals(64 * 32).reshape(64, 32)
+    decisions = assert_batch_matches_oracle(layer, xs, dl_dy)
+    # The tie decides the selection: expert 1 ranks ahead of its twin, which
+    # sits just outside the top k.
+    assert any(1 in d.selected and 2 not in d.selected for d in decisions)
+    assert decisions[5].selected == (0, 1)
+
+
+@pytest.mark.parametrize("mode", ["rotmole", "scaling_only", "mlp_gate"])
+def test_ranking_on_underflowed_softmax_matches_per_sample(mode):
+    # Logits 0, -900, -800, -1000: every softmax value but the first is 0.0,
+    # so the runner-up is expert 1 by index, where the logits would pick 2.
+    layer = random_layer(arm_config(mode, 32, 4, 2), seed=33)
+    router, logits = layer.router, np.array([0.0, -900.0, -800.0, -1000.0])
+    if mode == "mlp_gate":
+        router.mlp_w1[...] = 0.0
+        router.mlp_w1[0, 0] = 1.0
+        router.mlp_w2[...] = 0.0
+        router.mlp_w2[0] = logits
+    else:
+        router.w_g[...] = 0.0
+        router.w_g[0] = logits
+    xs = Rng(34).normals(16 * 32).reshape(16, 32)
+    xs[:, 0] = 1.0
+    dl_dy = Rng(35).normals(16 * 32).reshape(16, 32)
+    decisions = assert_batch_matches_oracle(layer, xs, dl_dy)
+    assert all(d.selected == (0, 1) for d in decisions)
+
+
+def test_build_planes_match_build_plane():
+    rng = Rng(41)
+    us = rng.normals(40 * 4).reshape(40, 4)
+    q = rng.normals(4)
+    us[3] = 0.0
+    us[7] = -3.0 * q
+    planes = build_planes(us, q)
+    cos, sin = np.cos(np.arange(40.0)), np.sin(np.arange(40.0))
+    turned = apply_rotations(us, planes, cos, sin)
+    for j, u in enumerate(us):
+        plane = build_plane(u, q)
+        assert planes.degenerate[j] == plane.degenerate
+        assert np.array_equal(turned[j], apply_rotation(u, plane, float(j)))
+        if not plane.degenerate:
+            assert np.array_equal(planes.e1[j], plane.e1)
+            assert np.array_equal(planes.e2[j], plane.e2)
+            assert planes.u_norm[j] == plane.u_norm
+            assert planes.q_dot_e1[j] == plane.q_dot_e1
+            assert planes.resid_norm[j] == plane.resid_norm
+    assert planes.degenerate[3] and planes.degenerate[7]
+
+
+# ---------------------------------------------------------------------------
+# Sampling
+# ---------------------------------------------------------------------------
+
+
+def per_sample_batch(specs, cfg, rng):
+    batch = []
+    for _ in range(cfg.samples_per_task_per_batch):
+        for spec in specs:
+            x = _draw_input(cfg, spec.task_id, rng)
+            y = target_output(spec, x) + cfg.noise_std * rng.normals(cfg.d)
+            batch.append(Sample(spec.task_id, x, y))
+    return batch
+
+
+@pytest.mark.parametrize("draw_block", [8192, 40, 1])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_sample_batch_matches_per_sample_draws(r, draw_block, monkeypatch):
+    monkeypatch.setattr(synth, "DRAW_BLOCK", draw_block)  # one draw, several, one per sample
+    cfg = DatasetConfig(d=16, r=r, n_task=3, noise_std=0.05,
+                        samples_per_task_per_batch=5, phi_separation=1.0, seed=51)
+    specs = make_rotation_separable_tasks(cfg, Rng(cfg.seed))
+    a, b = Rng(52), Rng(52)
+    for _ in range(20):
+        batch, ref = sample_batch(specs, cfg, a), per_sample_batch(specs, cfg, b)
+        assert [s.task_id for s in batch] == [s.task_id for s in ref]
+        assert np.array_equal(np.array([s.x for s in batch]), np.array([s.x for s in ref]))
+        assert np.array_equal(np.array([s.y for s in batch]), np.array([s.y for s in ref]))
+    assert a.next_u64() == b.next_u64()
+
+
+def test_target_outputs_match_target_output():
+    cfg = DatasetConfig(d=12, r=3, n_task=2, noise_std=0.0,
+                        samples_per_task_per_batch=1, phi_separation=2.0, seed=53)
+    spec = make_rotation_separable_tasks(cfg, Rng(cfg.seed))[1]
+    xs = Rng(54).normals(30 * 12).reshape(30, 12)
+    xs[4] = 0.0  # degenerate plane
+    out = target_outputs(spec, xs)
+    for x, y in zip(xs, out):
+        assert np.array_equal(y, target_output(spec, x))
+
+
+# ---------------------------------------------------------------------------
+# Training and evaluation
+# ---------------------------------------------------------------------------
+
+
+def per_sample_evaluate(layer, samples):
+    totals, counts = {}, {}
+    for s in samples:
+        y_hat, _ = forward(layer, s.x)
+        totals[s.task_id] = totals.get(s.task_id, 0.0) + float(np.mean((y_hat - s.y) ** 2))
+        counts[s.task_id] = counts.get(s.task_id, 0) + 1
+    return {t: totals[t] / counts[t] for t in sorted(totals)}
+
+
+def per_sample_train(layer, specs, data_cfg, train_cfg, data_rng, eval_samples, probe=0):
+    """The training loop one sample at a time, as the oracle of `train`."""
+    d, batch_size = layer.config.d, data_cfg.batch_size
+    metrics, thetas = [], []
+    params = trainable_params(layer)
+    for step in range(train_cfg.steps):
+        batch = per_sample_batch(specs, data_cfg, data_rng)
+        log_theta = step % train_cfg.theta_log_every == 0 or step == train_cfg.steps - 1
+        grads = zero_gradients(layer)
+        loss = 0.0
+        for sample in batch:
+            y_hat, cache = forward(layer, sample.x)
+            err = y_hat - sample.y
+            loss += float(np.mean(err**2))
+            sample_grads = backward(layer, cache, 2.0 * err / (d * batch_size))
+            for name in grads:
+                grads[name] += sample_grads[name]
+            if log_theta and probe in cache.decision.selected:
+                pos = cache.decision.selected.index(probe)
+                thetas.append(ThetaRecord(step, sample.task_id, probe,
+                                          float(cache.decision.theta[pos])))
+        loss /= batch_size
+        lr = lr_schedule(step, train_cfg)
+        for name in params:
+            params[name] -= lr * grads[name]
+        if step % train_cfg.eval_every == 0 or step == train_cfg.steps - 1:
+            metrics.append(MetricsRecord(step, lr, loss, per_sample_evaluate(layer, eval_samples)))
+    return metrics, thetas
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("arm", ARMS)
+def test_train_and_evaluate_match_per_sample(arm, shape):
+    d, n, k, n_task = shape
+    config = arm_config(arm, d, n, k)
+    data_cfg = DatasetConfig(d=d, r=config.r, n_task=n_task, noise_std=0.01,
+                             samples_per_task_per_batch=8, phi_separation=math.pi / n_task,
+                             seed=61)
+    train_cfg = TrainConfig(steps=4, lr0=1e-3, seed=62, eval_every=2, theta_log_every=2)
+    runs = []
+    for run_training in (train, per_sample_train):
+        rng = Rng(data_cfg.seed)
+        specs = make_rotation_separable_tasks(data_cfg, rng)
+        eval_samples = per_sample_batch(specs, data_cfg, rng)
+        layer = random_layer(config, seed=63)
+        layer.w0 = specs[0].w0_star.copy()
+        out = run_training(layer, specs, data_cfg, train_cfg, rng, eval_samples)
+        metrics, thetas = out[1:] if run_training is train else out
+        runs.append((layer, metrics, thetas, eval_samples, rng.next_u64()))
+    (layer, metrics, thetas, held_out, state), (ref_layer, ref_metrics, ref_thetas, _, ref_state) = runs
+    assert all(math.isfinite(m.loss) for m in metrics)
+    assert metrics == ref_metrics
+    assert thetas == ref_thetas
+    assert len(thetas) > 0 and any(t.theta != 0.0 for t in thetas) == (config.mode == "rotmole")
+    assert state == ref_state
+    ref_params = trainable_params(ref_layer)
+    for name, arr in trainable_params(layer).items():
+        assert np.array_equal(arr, ref_params[name]), name
+    assert evaluate(layer, held_out) == per_sample_evaluate(layer, held_out)
+
+
+def test_evaluate_in_blocks_matches_per_sample(monkeypatch):
+    monkeypatch.setattr(trainer, "EVAL_BLOCK_VALUES", 16 * 10)  # 10 samples a block
+    config = AdapterConfig(d=16, r=3, n=4, k=2, mode="rotmole")
+    data_cfg = DatasetConfig(d=16, r=3, n_task=3, noise_std=0.01,
+                             samples_per_task_per_batch=9, phi_separation=1.0, seed=71)
+    rng = Rng(data_cfg.seed)
+    samples = sample_batch(make_rotation_separable_tasks(data_cfg, rng), data_cfg, rng)
+    layer = random_layer(config, seed=72)
+    assert evaluate(layer, samples) == per_sample_evaluate(layer, samples)
+
+
+def test_theta_record_has_no_instance_dict():
+    record = ThetaRecord(3, 1, 0, 0.25)
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.theta = 0.5
+
+
+def test_evaluate_empty_set():
+    layer = init_adapter(AdapterConfig(d=4, r=2, n=1, k=1), Rng(0))
+    assert evaluate(layer, []) == {}

@@ -166,6 +166,21 @@ def test_analyze_empty_records_exit_2(tmp_path, capsys):
     assert main(["analyze", "--thetas", str(thetas), "--snapshots", "0"]) == 2
 
 
+def test_analyze_unlogged_snapshots_exit_2(tmp_path, capsys):
+    path = write_config(tmp_path, steps=20)
+    doc = json.loads(path.read_text())
+    doc["train"]["theta_log_every"] = 10
+    path.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(path)]) == 0
+    capsys.readouterr()
+    thetas = tmp_path / "out" / "thetas.jsonl"
+    assert main(["analyze", "--thetas", str(thetas), "--snapshots", "5"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "--snapshots 5 names no logged step" in err and "2 steps from 0 to 10" in err
+    assert not (tmp_path / "out" / "summary.csv").exists()
+
+
 def test_analyze_bad_snapshots_exit_2(tmp_path):
     thetas = tmp_path / "thetas.jsonl"
     thetas.write_text('{"step": 0, "task_id": 0, "expert_index": 0, "theta": 0.0}\n')

@@ -16,6 +16,7 @@ from rotmole.numkit import (
     matvec,
     sigmoid,
     softmax,
+    sum_rows,
     transpose,
     zeros,
 )
@@ -51,9 +52,30 @@ def test_rng_float_range():
 
 def test_rng_normals_match_scalar_path():
     a, b = Rng(7), Rng(7)
-    vec = a.normals(50)
-    scalars = np.array([b.normal() for _ in range(50)])
+    vec = a.normals(10_000)
+    scalars = np.array([b.normal() for _ in range(10_000)])
     assert np.array_equal(vec, scalars)
+
+
+def test_rng_normals_split_draws_equal_one_draw():
+    one = Rng(8)
+    whole = one.normals(1000)
+    after = one.next_u64()
+    for a, b in ((1, 999), (17, 983), (500, 500)):
+        rng = Rng(8)
+        parts = np.concatenate([rng.normals(a), rng.normals(b)])
+        assert np.array_equal(parts, whole)
+        assert rng.next_u64() == after
+
+
+def test_sum_rows_adds_in_row_order():
+    rng = Rng(9)
+    for shape in ((100, 1), (100, 2), (40, 3, 5), (64, 16, 1), (70, 1, 1), (0, 3)):
+        terms = rng.normals(int(np.prod(shape))).reshape(shape) * 10.0 ** rng.normals(1)[0]
+        acc = np.zeros(shape[1:])
+        for t in terms:
+            acc += t
+        assert np.array_equal(sum_rows(terms), acc), shape
 
 
 def test_rng_uniform_bounds():
