@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,8 @@ from .numkit import (
     Rng,
     ShapeError,
     Vector,
+    from_doc,
+    is_finite_number,
     kaiming_uniform,
     matvec,
     row_softmax,
@@ -76,7 +78,7 @@ class AdapterConfig:
         if self.eps_degenerate <= 0.0:
             raise ConfigError(f"eps_degenerate must be positive, got {self.eps_degenerate}")
         if self.mode == "mlp_gate" and (self.mlp_hidden is None or self.mlp_hidden < 1):
-            raise ConfigError("mlp_gate mode requires a positive mlp_hidden")
+            raise ConfigError(f"mlp_hidden must be positive in mlp_gate mode: {self.mlp_hidden}")
 
 
 @dataclass
@@ -367,22 +369,20 @@ def trainable_params(layer: AdapterLayer) -> dict[str, np.ndarray]:
     for i, expert in enumerate(layer.experts):
         out[f"a{i}"] = expert.a
         out[f"b{i}"] = expert.b
-    router = layer.router
-    for name in ("w_g", "w_theta", "q", "mlp_w1", "mlp_w2"):
-        arr = getattr(router, name)
-        if arr is not None:
-            out[name] = arr
+    out.update(_router_arrays(layer.router))
     return out
+
+
+def _router_arrays(router: RouterParams) -> dict[str, np.ndarray]:
+    """The router arrays the layer's mode has, in field order."""
+    return {
+        f.name: arr for f in fields(RouterParams) if (arr := getattr(router, f.name)) is not None
+    }
 
 
 def routing_param_count(layer: AdapterLayer) -> int:
     """Actual trainable value count in the router arrays."""
-    router = layer.router
-    return sum(
-        getattr(router, name).size
-        for name in ("w_g", "w_theta", "q", "mlp_w1", "mlp_w2")
-        if getattr(router, name) is not None
-    )
+    return sum(arr.size for arr in _router_arrays(layer.router).values())
 
 
 # ---------------------------------------------------------------------------
@@ -396,63 +396,71 @@ def _encode_matrix(m: np.ndarray | None):
     return {"rows": m.shape[0], "cols": m.shape[1], "data": m.flatten().tolist()}
 
 
-def _decode_matrix(obj) -> np.ndarray | None:
-    if obj is None:
+def _members(doc, keys, where: str) -> list:
+    """The values of a layer-document object that must hold exactly `keys`,
+    in that order; `where` is the object's dotted name."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"layer field '{where}' must be a JSON object" if where
+                          else "layer must be a JSON object")
+    prefix = f"{where}." if where else ""
+    for key in keys:
+        if key not in doc:
+            raise ConfigError(f"layer missing field '{prefix}{key}'")
+    for key in doc:
+        if key not in keys:
+            raise ConfigError(f"unknown layer field '{prefix}{key}'")
+    return [doc[key] for key in keys]
+
+
+def _decode_matrix(obj, like: np.ndarray | None, where: str) -> np.ndarray | None:
+    """The matrix `obj` of a layer document: null where the layout array
+    `like` is None, else a matrix of like's shape."""
+    if like is None:
+        if obj is not None:
+            raise ConfigError(f"layer field '{where}' must be null for this config")
         return None
-    data = np.array(obj["data"], dtype=np.float64)
-    return data.reshape(obj["rows"], obj["cols"])
+    rows, cols, data = _members(obj, ("rows", "cols", "data"), where)
+    if not isinstance(data, list) or not all(map(is_finite_number, data)):
+        raise ConfigError(f"layer field '{where}.data' must be a list of finite numbers")
+    if (rows, cols) != like.shape or len(data) != like.size:
+        raise ConfigError(
+            f"layer field '{where}' must be a {like.shape[0]}x{like.shape[1]} matrix, "
+            f"got rows={rows}, cols={cols} and {len(data)} values"
+        )
+    return np.array(data, dtype=np.float64).reshape(like.shape)
 
 
 def layer_to_doc(layer: AdapterLayer) -> dict:
-    config = layer.config
     return {
-        "config": {
-            "d": config.d,
-            "r": config.r,
-            "n": config.n,
-            "k": config.k,
-            "mode": config.mode,
-            "eps_degenerate": config.eps_degenerate,
-            "mlp_hidden": config.mlp_hidden,
-        },
+        "config": asdict(layer.config),
         "w0": _encode_matrix(layer.w0),
         "experts": [
             {"a": _encode_matrix(e.a), "b": _encode_matrix(e.b)} for e in layer.experts
         ],
         "router": {
-            "w_g": _encode_matrix(layer.router.w_g),
-            "w_theta": _encode_matrix(layer.router.w_theta),
-            "q": _encode_matrix(layer.router.q),
-            "mlp_w1": _encode_matrix(layer.router.mlp_w1),
-            "mlp_w2": _encode_matrix(layer.router.mlp_w2),
+            f.name: _encode_matrix(getattr(layer.router, f.name)) for f in fields(RouterParams)
         },
     }
 
 
-def layer_from_doc(doc: dict) -> AdapterLayer:
-    c = doc["config"]
-    config = AdapterConfig(
-        d=c["d"],
-        r=c["r"],
-        n=c["n"],
-        k=c["k"],
-        mode=c["mode"],
-        eps_degenerate=c["eps_degenerate"],
-        mlp_hidden=c["mlp_hidden"],
-    )
-    experts = [
-        LoraExpert(a=_decode_matrix(e["a"]), b=_decode_matrix(e["b"]))
-        for e in doc["experts"]
-    ]
-    r = doc["router"]
-    router = RouterParams(
-        w_g=_decode_matrix(r["w_g"]),
-        w_theta=_decode_matrix(r["w_theta"]),
-        q=_decode_matrix(r["q"]),
-        mlp_w1=_decode_matrix(r["mlp_w1"]),
-        mlp_w2=_decode_matrix(r["mlp_w2"]),
-    )
-    return AdapterLayer(config, _decode_matrix(doc["w0"]), experts, router)
+def layer_from_doc(doc) -> AdapterLayer:
+    """Inverse of `layer_to_doc`. The document must hold the arrays that
+    `init_adapter` gives its config, with the same shapes, and no others."""
+    config, w0, experts, router = _members(doc, ("config", "w0", "experts", "router"), "")
+    config = from_doc(AdapterConfig, config, "config")
+    layer = init_adapter(config, Rng(0))  # the layout the document must match
+    layer.w0 = _decode_matrix(w0, layer.w0, "w0")
+    if not isinstance(experts, list) or len(experts) != config.n:
+        raise ConfigError(f"layer field 'experts' must be a list of n={config.n} experts")
+    for i, (expert, expert_doc) in enumerate(zip(layer.experts, experts)):
+        a, b = _members(expert_doc, ("a", "b"), f"experts.{i}")
+        expert.a = _decode_matrix(a, expert.a, f"experts.{i}.a")
+        expert.b = _decode_matrix(b, expert.b, f"experts.{i}.b")
+    names = [f.name for f in fields(RouterParams)]
+    for name, obj in zip(names, _members(router, names, "router")):
+        like = getattr(layer.router, name)
+        setattr(layer.router, name, _decode_matrix(obj, like, f"router.{name}"))
+    return layer
 
 
 def save_layer(layer: AdapterLayer, path) -> None:

@@ -276,17 +276,10 @@ def near_degenerate(layer: AdapterLayer, x: Vector, margin: float = 10.0) -> boo
         return False
     _, cache = forward(layer, x)
     limit = margin * config.eps_degenerate
-    for pos, i in enumerate(cache.decision.selected):
-        u = cache.us[pos]
-        norm_u = float(np.sqrt(u @ u))
-        if norm_u <= limit:
-            return True
-        e1 = u / norm_u
-        q_vec = layer.router.q[i]
-        resid = q_vec - float(q_vec @ e1) * e1
-        if float(np.sqrt(resid @ resid)) <= limit:
-            return True
-    return False
+    return any(
+        build_plane(u, layer.router.q[i], limit).degenerate
+        for u, i in zip(cache.us, cache.decision.selected)
+    )
 
 
 def grad_check(

@@ -28,7 +28,7 @@ from .adapter import (
 )
 from .analysis import separation, summarize, write_summary_csv
 from .autograd import gradcheck_trials
-from .numkit import ConfigError, Rng
+from .numkit import ConfigError, Rng, from_doc
 from .synth import (
     DatasetConfig,
     Sample,
@@ -87,17 +87,6 @@ class ExperimentResult:
         return sum(self.final_per_task_mse.values()) / len(self.final_per_task_mse)
 
 
-_REQUIRED = object()
-
-
-def _field(section: dict, section_name: str, name: str, default=_REQUIRED):
-    if name in section:
-        return section[name]
-    if default is _REQUIRED:
-        raise ConfigError(f"config missing field '{section_name}.{name}'")
-    return default
-
-
 def load_experiment_config(path) -> ExperimentConfig:
     try:
         doc = json.loads(Path(path).read_text())
@@ -105,49 +94,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}")
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
-    sections = {}
-    for name in ("adapter", "dataset", "train"):
-        if name not in doc or not isinstance(doc[name], dict):
-            raise ConfigError(f"config missing section '{name}'")
-        sections[name] = doc[name]
-    a, ds, tr = sections["adapter"], sections["dataset"], sections["train"]
-    try:
-        adapter = AdapterConfig(
-            d=_field(a, "adapter", "d"),
-            r=_field(a, "adapter", "r"),
-            n=_field(a, "adapter", "n"),
-            k=_field(a, "adapter", "k"),
-            mode=_field(a, "adapter", "mode", "rotmole"),
-            eps_degenerate=_field(a, "adapter", "eps_degenerate", 1e-8),
-            mlp_hidden=_field(a, "adapter", "mlp_hidden", None),
-        )
-        dataset = DatasetConfig(
-            d=_field(ds, "dataset", "d"),
-            r=_field(ds, "dataset", "r"),
-            n_task=_field(ds, "dataset", "n_task"),
-            noise_std=_field(ds, "dataset", "noise_std"),
-            samples_per_task_per_batch=_field(ds, "dataset", "samples_per_task_per_batch"),
-            phi_separation=_field(ds, "dataset", "phi_separation"),
-            seed=_field(ds, "dataset", "seed"),
-        )
-        train_cfg = TrainConfig(
-            steps=_field(tr, "train", "steps"),
-            lr0=_field(tr, "train", "lr0", 3e-4),
-            seed=_field(tr, "train", "seed", 0),
-            eval_every=_field(tr, "train", "eval_every", 100),
-            theta_log_every=_field(tr, "train", "theta_log_every", 100),
-        )
-        return ExperimentConfig(
-            adapter=adapter,
-            dataset=dataset,
-            train=train_cfg,
-            output_dir=_field(doc, "(top level)", "output_dir"),
-            probe_expert=_field(doc, "(top level)", "probe_expert", 0),
-        )
-    except TypeError as e:
-        raise ConfigError(f"config {path} has a field of the wrong type: {e}")
+    return from_doc(ExperimentConfig, doc)
 
 
 def _mode_config(adapter: AdapterConfig, mode: str | None) -> AdapterConfig:
@@ -294,14 +241,12 @@ def _load_theta_records(path: Path) -> list[ThetaRecord]:
             doc = json.loads(line)
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}:{ln}: invalid JSON: {e}")
-        if doc.get("type") == "header":
+        if isinstance(doc, dict) and doc.get("type") == "header":
             continue
         try:
-            records.append(
-                ThetaRecord(doc["step"], doc["task_id"], doc["expert_index"], doc["theta"])
-            )
-        except KeyError as e:
-            raise ConfigError(f"{path}:{ln}: missing field {e}")
+            records.append(from_doc(ThetaRecord, doc, "record"))
+        except ConfigError as e:
+            raise ConfigError(f"{path}:{ln}: {e}") from None
     if not records:
         raise ConfigError(f"{path} contains no theta records")
     return records

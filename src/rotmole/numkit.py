@@ -7,7 +7,11 @@ reproducibility over speed.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
+import sys
+import typing
 
 import numpy as np
 
@@ -21,6 +25,72 @@ class ShapeError(ValueError):
 
 class ConfigError(ValueError):
     """A configuration value violates its constraints."""
+
+
+_KINDS = {int: "a whole number", float: "a finite number", str: "a string"}
+
+
+def from_doc(cls, doc, where: str = ""):
+    """Build the config dataclass `cls` from the JSON object `doc`.
+
+    Field names, defaults and types all come from `cls`. Unknown and missing
+    keys are rejected; an int field takes a whole number and never a bool, a
+    float field a finite number, and a dataclass field a nested object read
+    the same way. `where` is the dotted name of `doc`: every error names the
+    dotted field, and range errors raised by `cls.__post_init__` get it as a
+    prefix.
+    """
+    prefix = f"{where}." if where else ""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where or 'config'} must be a JSON object")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for key in doc:
+        if key not in fields:
+            raise ConfigError(f"unknown field '{prefix}{key}'")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for name, f in fields.items():
+        if name in doc:
+            values[name] = _from_json(hints[name], doc[name], prefix + name)
+        elif f.default is dataclasses.MISSING:
+            raise ConfigError(f"missing field '{prefix}{name}'")
+    try:
+        return cls(**values)
+    except ConfigError as e:
+        raise ConfigError(f"{prefix}{e}") from None
+
+
+def is_finite_number(value) -> bool:
+    """True for a JSON number that a float64 holds finitely: not a bool, NaN,
+    an infinity or an int past the float range."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def _from_json(tp, value, name: str):
+    """`value` checked against the field type `tp` (int, float, str, a config
+    dataclass, or one of these or None)."""
+    if dataclasses.is_dataclass(tp):
+        return from_doc(tp, value, name)
+    options = typing.get_args(tp) or (tp,)
+    if value is None and type(None) in options:
+        return None
+    kind = next(t for t in options if t is not type(None))
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    elif kind is float:
+        ok = is_finite_number(value)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        expected = _KINDS[kind] + (" or null" if type(None) in options else "")
+        raise ConfigError(f"{name} must be {expected}, got {json.dumps(value)}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -105,50 +175,20 @@ class Rng:
 # ---------------------------------------------------------------------------
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return np.zeros((rows, cols))
-
-
-def identity(n: int) -> Matrix:
-    return np.eye(n)
-
-
 def matvec(m: Matrix, v: Vector) -> Vector:
     if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
         raise ShapeError(f"matvec: {m.shape} incompatible with {v.shape}")
     return m @ v
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: {a.shape} incompatible with {b.shape}")
-    return a @ b
-
-
-def transpose(m: Matrix) -> Matrix:
-    return m.T
-
-
-def dot(a: Vector, b: Vector) -> float:
-    if a.shape != b.shape:
-        raise ShapeError(f"dot: {a.shape} incompatible with {b.shape}")
-    return float(a @ b)
-
-
 def l2_norm(v: Vector) -> float:
     return float(np.sqrt(v @ v))
 
 
-def axpy(alpha: float, x: Vector, y: Vector) -> Vector:
-    if x.shape != y.shape:
-        raise ShapeError(f"axpy: {x.shape} incompatible with {y.shape}")
-    return alpha * x + y
-
-
-# Row-wise forms of the products above. Each gives, row for row, the bits of
-# the one-vector product it replaces: numpy runs a stacked matmul as one BLAS
-# call per row with the same shapes and strides, whereas `xs @ m.T` or einsum
-# would block the sums differently.
+# Row-wise forms of the one-vector products `m @ x`, `x @ m` and `a @ b`.
+# Each gives, row for row, the bits of the one-vector product it replaces:
+# numpy runs a stacked matmul as one BLAS call per row with the same shapes
+# and strides, whereas `xs @ m.T` or einsum would block the sums differently.
 
 
 def rowwise_matvec(m: Matrix, xs: Matrix) -> Matrix:
@@ -214,7 +254,3 @@ def kaiming_uniform(rows: int, cols: int, rng: Rng) -> Matrix:
     bound = math.sqrt(6.0 / cols)
     return rng.uniforms(rows * cols, -bound, bound).reshape(rows, cols)
 
-
-def check_finite(arr: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")

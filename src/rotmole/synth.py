@@ -11,10 +11,8 @@ floor itself is certified by an independent grid-search oracle.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -170,15 +168,6 @@ def sample_batch(specs: list[TaskSpec], cfg: DatasetConfig, rng: Rng) -> list[Sa
         rows = slice(t, m, len(specs))
         ys[rows] = target_outputs(spec, xs[rows]) + cfg.noise_std * draws[rows, free:]
     return [Sample(task_id, x, y) for task_id, x, y in zip(task_ids, xs, ys)]
-
-
-def export_jsonl(samples: list[Sample], path) -> None:
-    with open(path, "w") as f:
-        for s in samples:
-            f.write(
-                json.dumps({"task_id": s.task_id, "x": s.x.tolist(), "y": s.y.tolist()})
-                + "\n"
-            )
 
 
 def analytic_baseline_floor(

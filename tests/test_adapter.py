@@ -283,6 +283,46 @@ def test_serialization_file_round_trip(tmp_path):
     assert np.array_equal(y1, y2)
 
 
+def _layer_doc(mode="rotmole"):
+    return json.loads(json.dumps(layer_to_doc(init_adapter(small_config(mode), Rng(77)))))
+
+
+def test_layer_file_missing_or_unknown_key_names_it(tmp_path):
+    doc = _layer_doc()
+    del doc["router"]["q"]
+    path = tmp_path / "layer.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=r"missing field 'router\.q'"):
+        load_layer(path)
+    doc = _layer_doc()
+    doc["experts"][1]["c"] = None
+    with pytest.raises(ConfigError, match=r"unknown layer field 'experts\.1\.c'"):
+        layer_from_doc(doc)
+
+
+def test_layer_file_wrong_shape_rejected():
+    doc = _layer_doc()
+    doc["experts"][0]["b"] = {"rows": 3, "cols": 8, "data": [0.0] * 24}  # b0 is (8, 3)
+    with pytest.raises(ConfigError, match=r"'experts\.0\.b' must be a 8x3 matrix"):
+        layer_from_doc(doc)
+    for bad in ("0.5", float("nan"), True):
+        doc = _layer_doc()
+        doc["w0"]["data"][0] = bad
+        with pytest.raises(ConfigError, match=r"'w0\.data' must be a list of finite numbers"):
+            layer_from_doc(doc)
+    doc = _layer_doc()
+    doc["experts"].pop()
+    with pytest.raises(ConfigError, match="n=4 experts"):
+        layer_from_doc(doc)
+
+
+def test_layer_file_array_foreign_to_mode_rejected():
+    doc = _layer_doc("scaling_only")
+    doc["router"]["w_theta"] = _layer_doc("rotmole")["router"]["w_theta"]
+    with pytest.raises(ConfigError, match=r"'router\.w_theta' must be null"):
+        layer_from_doc(doc)
+
+
 def test_gate_normalization_invariant():
     rng = Rng(55)
     for mode in ("scaling_only", "rotmole", "mlp_gate"):

@@ -1,5 +1,8 @@
+import copy
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +79,60 @@ def test_probe_expert_bounds(tmp_path):
     path = write_config(tmp_path, probe=5)
     with pytest.raises(ConfigError, match="probe_expert"):
         load_experiment_config(path)
+
+
+@pytest.mark.parametrize("section, key, value, field", [
+    ("train", "lr", 5.0, "train.lr"),  # unknown key in a section
+    (None, "seed", 1, "seed"),  # unknown key at the top level
+    ("train", "steps", 2.5, "train.steps"),
+    ("train", "lr0", float("nan"), "train.lr0"),
+    ("dataset", "noise_std", 10**400, "dataset.noise_std"),  # past the float range
+    ("adapter", "k", True, "adapter.k"),
+    ("adapter", "d", "8", "adapter.d"),
+], ids=["train.lr", "top-level", "steps", "lr0", "noise_std", "k", "d"])
+def test_bad_field_exit_2_names_it(tmp_path, capsys, section, key, value, field):
+    path = write_config(tmp_path)
+    doc = json.loads(path.read_text())
+    (doc[section] if section else doc)[key] = value
+    path.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.search(rf"\b{re.escape(field)}\b", err[0]), err[0]
+    assert not (tmp_path / "out").exists()
+
+
+MUTANTS = [True, 2.5, -1, 0, "x", None, float("nan"), [], {}]
+
+
+def test_mutated_configs_exit_0_or_2(tmp_path, monkeypatch, capsys):
+    # output_dir "x" is valid and writes below the working directory.
+    monkeypatch.chdir(tmp_path)
+    base = json.loads(write_config(tmp_path).read_text())
+    fields = [(section, key) for section in ("adapter", "dataset", "train")
+              for key in base[section]]
+    fields += [(None, "output_dir"), (None, "probe_expert")]
+    assert len(fields) == 19
+    path = tmp_path / "mutant.json"
+    for section, key in fields:
+        for value in MUTANTS:
+            doc = copy.deepcopy(base)
+            (doc[section] if section else doc)[key] = value
+            path.write_text(json.dumps(doc))
+            code = main(["train", "--config", str(path)])
+            err = capsys.readouterr().err.splitlines()
+            assert code in (0, 2), (section, key, value, err)
+            assert len(err) == (1 if code == 2 else 0), (section, key, value, err)
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.json"
+    path.write_text(block)
+    config = load_experiment_config(path)
+    assert config.adapter.mode == "rotmole"
+    assert config.train.steps == 3000
 
 
 def test_train_writes_artifacts(tmp_path):
@@ -185,6 +242,21 @@ def test_analyze_bad_snapshots_exit_2(tmp_path):
     thetas = tmp_path / "thetas.jsonl"
     thetas.write_text('{"step": 0, "task_id": 0, "expert_index": 0, "theta": 0.0}\n')
     assert main(["analyze", "--thetas", str(thetas), "--snapshots", "a,b"]) == 2
+
+
+@pytest.mark.parametrize("line, field", [
+    ('{"step": 0, "task_id": 0, "expert_index": 0, "theta": "x"}', "record.theta"),
+    ('{"step": 0, "task_id": 0, "expert_index": 0, "theta": null}', "record.theta"),
+    ('{"step": 0, "task_id": 0, "theta": 0.5}', "record.expert_index"),
+    ('[0, 0, 0, 0.5]', "record"),
+], ids=["string", "null", "missing", "list"])
+def test_analyze_bad_record_exit_2(tmp_path, capsys, line, field):
+    thetas = tmp_path / "thetas.jsonl"
+    thetas.write_text('{"type": "header", "init_seed": 1, "data_seed": 2}\n' + line + "\n")
+    assert main(["analyze", "--thetas", str(thetas), "--snapshots", "0"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "thetas.jsonl:2: " in err[0] and re.search(rf"\b{re.escape(field)}\b", err[0]), err[0]
 
 
 def test_compare_single_task_control(tmp_path, capsys):

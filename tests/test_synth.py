@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ from rotmole.numkit import ConfigError, Rng
 from rotmole.synth import (
     DatasetConfig,
     analytic_baseline_floor,
-    export_jsonl,
     make_rotation_separable_tasks,
     sample_batch,
     target_output,
@@ -181,17 +179,3 @@ def test_floor_deterministic():
         specs, cfg, 10_000
     )
 
-
-def test_export_jsonl(tmp_path):
-    cfg = config(noise_std=0.1)
-    specs = make_rotation_separable_tasks(cfg, Rng(5))
-    batch = sample_batch(specs, cfg, Rng(6))
-    path = tmp_path / "data.jsonl"
-    export_jsonl(batch, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == len(batch)
-    first = json.loads(lines[0])
-    assert set(first) == {"task_id", "x", "y"}
-    assert first["task_id"] == batch[0].task_id
-    assert np.array_equal(np.array(first["x"]), batch[0].x)
-    assert np.array_equal(np.array(first["y"]), batch[0].y)
