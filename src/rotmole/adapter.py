@@ -61,7 +61,6 @@ class AdapterConfig:
     n: int
     k: int
     mode: str = "rotmole"
-    eps_degenerate: float = 1e-8
     mlp_hidden: int | None = None
 
     def __post_init__(self):
@@ -75,8 +74,6 @@ class AdapterConfig:
             raise ConfigError(f"k must be in [1, n={self.n}], got {self.k}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.eps_degenerate <= 0.0:
-            raise ConfigError(f"eps_degenerate must be positive, got {self.eps_degenerate}")
         if self.mode == "mlp_gate" and (self.mlp_hidden is None or self.mlp_hidden < 1):
             raise ConfigError(f"mlp_hidden must be positive in mlp_gate mode: {self.mlp_hidden}")
 
@@ -171,9 +168,10 @@ def count_trainable_routing_params(config: AdapterConfig) -> int:
 
 
 def mlp_hidden_dim(config: AdapterConfig) -> int:
-    """Hidden width that matches an MLP gate's size to the rotating router's."""
-    d, r, n = config.d, config.r, config.n
-    return max(1, int(math.floor((2 * d * n + r * n) / (d + n) + 0.5)))
+    """Hidden width H that matches an MLP gate's size, dH + Hn, to the
+    rotating router's."""
+    target = count_trainable_routing_params(replace(config, mode="rotmole"))
+    return max(1, int(math.floor(target / (config.d + config.n) + 0.5)))
 
 
 def mlp_variant(config: AdapterConfig) -> AdapterConfig:
@@ -271,7 +269,7 @@ def forward(
             if config.r == 2:
                 rot = rotation_matrix_2d(theta) @ u
             else:
-                plane = build_plane(u, layer.router.q[i], config.eps_degenerate)
+                plane = build_plane(u, layer.router.q[i])
                 rot = apply_rotation(u, plane, theta)
         else:
             rot = u
@@ -343,7 +341,7 @@ def forward_batch(layer: AdapterLayer, xs: Matrix) -> tuple[Matrix, BatchCache]:
                 group.rotations = rotation_matrices_2d(group.cos, group.sin)
                 group.rotated = np.matmul(group.rotations, us[:, :, None])[:, :, 0]
             else:
-                group.planes = build_planes(us, router.q[i], config.eps_degenerate)
+                group.planes = build_planes(us, router.q[i])
                 group.rotated = apply_rotations(us, group.planes, group.cos, group.sin)
         deltas[rows, pos] = rowwise_matvec(expert.b, group.rotated)
         groups.append(group)
@@ -468,4 +466,10 @@ def save_layer(layer: AdapterLayer, path) -> None:
 
 
 def load_layer(path) -> AdapterLayer:
-    return layer_from_doc(json.loads(Path(path).read_text()))
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as e:
+        raise ConfigError(f"cannot read layer {path}: {e}")
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"layer {path} is not valid JSON: {e}")
+    return layer_from_doc(doc)

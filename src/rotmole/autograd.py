@@ -46,11 +46,13 @@ from .numkit import (
     sigmoid,
     sum_rows,
 )
-from .rotation import build_plane, rotation_matrix_2d
+from .rotation import DEGENERATE_EPS, rotation_matrix_2d
 
 Gradients = Dict[str, np.ndarray]
 
 REL_ERR_FLOOR = 1e-8
+GRADCHECK_H = 1e-5  # central-difference step of grad_check
+GRADCHECK_TOL = 1e-4  # largest relative error grad_check passes
 
 
 def zero_gradients(layer: AdapterLayer) -> Gradients:
@@ -267,27 +269,25 @@ class CheckReport:
         }
 
 
-def near_degenerate(layer: AdapterLayer, x: Vector, margin: float = 10.0) -> bool:
-    """True when a selected expert's rotation plane sits within `margin` times
-    the degeneracy threshold: the hard identity switch makes gradients there
-    meaningless, so checking inputs are resampled."""
+def near_degenerate(layer: AdapterLayer, x: Vector) -> bool:
+    """True when a selected expert's rotation plane has |u| or an anchor
+    residual within 10 times the degeneracy threshold: the hard identity
+    switch makes gradients there meaningless, so checking inputs are
+    resampled."""
     config = layer.config
     if config.mode != "rotmole" or config.r == 2:
         return False
     _, cache = forward(layer, x)
-    limit = margin * config.eps_degenerate
-    return any(
-        build_plane(u, layer.router.q[i], limit).degenerate
-        for u, i in zip(cache.us, cache.decision.selected)
-    )
+    limit = 10.0 * DEGENERATE_EPS
+    return any(p.degenerate or p.u_norm <= limit or p.resid_norm <= limit for p in cache.planes)
 
 
 def grad_check(
     layer: AdapterLayer,
     x: Vector,
     target: Vector,
-    h: float = 1e-5,
-    tol: float = 1e-4,
+    h: float = GRADCHECK_H,
+    tol: float = GRADCHECK_TOL,
 ) -> CheckReport:
     """Compare backward() against central differences of a squared-error loss.
 
@@ -343,8 +343,8 @@ def gradcheck_trials(
     config: AdapterConfig,
     trials: int,
     seed: int,
-    h: float = 1e-5,
-    tol: float = 1e-4,
+    h: float = GRADCHECK_H,
+    tol: float = GRADCHECK_TOL,
 ) -> list[CheckReport]:
     """Run grad_check on `trials` randomized layers and inputs."""
     rng = Rng(seed)

@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .adapter import (
@@ -27,7 +27,7 @@ from .adapter import (
     save_layer,
 )
 from .analysis import separation, summarize, write_summary_csv
-from .autograd import gradcheck_trials
+from .autograd import GRADCHECK_H, GRADCHECK_TOL, gradcheck_trials
 from .numkit import ConfigError, Rng, from_doc
 from .synth import (
     DatasetConfig,
@@ -47,7 +47,6 @@ from .trainer import (
 )
 
 EVAL_SAMPLES_PER_TASK = 256
-GRADCHECK_H = 1e-5
 FLOOR_MC_SAMPLES = 10_000
 
 
@@ -148,22 +147,8 @@ def cmd_train(config: ExperimentConfig) -> int:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     header = _seed_header(config)
-    _write_jsonl(
-        out / "metrics.jsonl",
-        header,
-        (
-            {"step": m.step, "lr": m.lr, "loss": m.loss, "per_task_mse": m.per_task_mse}
-            for m in result.metrics
-        ),
-    )
-    _write_jsonl(
-        out / "thetas.jsonl",
-        header,
-        (
-            {"step": t.step, "task_id": t.task_id, "expert_index": t.expert_index, "theta": t.theta}
-            for t in result.thetas
-        ),
-    )
+    _write_jsonl(out / "metrics.jsonl", header, map(asdict, result.metrics))
+    _write_jsonl(out / "thetas.jsonl", header, map(asdict, result.thetas))
     save_layer(result.layer, out / "layer.json")
     for task, mse in result.final_per_task_mse.items():
         print(f"task {task}: final mse {mse:.6g}")
@@ -200,9 +185,11 @@ def cmd_compare(config: ExperimentConfig) -> int:
 
 
 def cmd_gradcheck(config: ExperimentConfig, trials: int, tol: float) -> int:
-    reports = gradcheck_trials(
-        config.adapter, trials, seed=config.train.seed, h=GRADCHECK_H, tol=tol
-    )
+    if trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {trials}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigError(f"--tol must be a finite number >= 0, got {tol}")
+    reports = gradcheck_trials(config.adapter, trials, seed=config.train.seed, tol=tol)
     all_pass = all(r.passed for r in reports)
     doc = {
         "trials": trials,
@@ -282,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
     p.add_argument("--config", required=True)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=float, default=GRADCHECK_TOL)
 
     p = sub.add_parser("train", help="train one layer; write metrics, angle log, layer")
     p.add_argument("--config", required=True)

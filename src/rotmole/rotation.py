@@ -46,27 +46,27 @@ class PlanarCoords(NamedTuple):
     c2: float
 
 
+# A plane whose |u| or anchor residual is at most this is degenerate. Fixed:
+# the layer, the task targets and the gradient checker all rely on this value.
 DEGENERATE_EPS = 1e-8
 
 
-def build_plane(u: Vector, q: Vector, eps: float = DEGENERATE_EPS) -> RotationPlane:
+def build_plane(u: Vector, q: Vector) -> RotationPlane:
     """Orthonormalize (u, q) into a plane basis: e1 along u, e2 the q residual.
 
-    Returns a degenerate plane when ||u|| <= eps or when q has no residual
-    component orthogonal to u (||q - (q.e1)e1|| <= eps).
+    Returns a degenerate plane when ||u|| <= DEGENERATE_EPS or when q has no
+    residual component orthogonal to u (||q - (q.e1)e1|| <= DEGENERATE_EPS).
     """
     if u.shape[0] < 2:
         raise ConfigError(f"build_plane: need dimension >= 2, got {u.shape[0]}")
-    if eps <= 0.0:
-        raise ConfigError(f"build_plane: eps must be positive, got {eps}")
     u_norm = l2_norm(u)
-    if u_norm <= eps:
+    if u_norm <= DEGENERATE_EPS:
         return RotationPlane(None, None, True)
     e1 = u / u_norm
     proj = float(q @ e1)
     resid = q - proj * e1
     resid_norm = l2_norm(resid)
-    if resid_norm <= eps:
+    if resid_norm <= DEGENERATE_EPS:
         return RotationPlane(None, None, True, u_norm=u_norm, q_dot_e1=proj)
     return RotationPlane(e1, resid / resid_norm, False, u_norm, proj, resid_norm)
 
@@ -87,19 +87,17 @@ class PlaneBatch:
     resid_norm: Vector
 
 
-def build_planes(us: Matrix, q: Vector, eps: float = DEGENERATE_EPS) -> PlaneBatch:
-    """`build_plane(us[j], q, eps)` for every row j, as arrays."""
+def build_planes(us: Matrix, q: Vector) -> PlaneBatch:
+    """`build_plane(us[j], q)` for every row j, as arrays."""
     if us.ndim != 2 or us.shape[1] < 2:
         raise ConfigError(f"build_planes: need rows of dimension >= 2, got {us.shape}")
-    if eps <= 0.0:
-        raise ConfigError(f"build_planes: eps must be positive, got {eps}")
     u_norm = np.sqrt(rowwise_dot(us, us))
-    short = u_norm <= eps
+    short = u_norm <= DEGENERATE_EPS
     e1 = us / np.where(short, 1.0, u_norm)[:, None]
     proj = np.matmul(q, e1[:, :, None])[:, 0]  # q @ e1 per row, operands in build_plane's order
     resid = q - proj[:, None] * e1
     resid_norm = np.sqrt(rowwise_dot(resid, resid))
-    degenerate = short | (resid_norm <= eps)
+    degenerate = short | (resid_norm <= DEGENERATE_EPS)
     e2 = resid / np.where(degenerate, 1.0, resid_norm)[:, None]
     return PlaneBatch(e1, e2, degenerate, u_norm, proj, resid_norm)
 
@@ -166,9 +164,7 @@ def _orthogonal_unit(e1: Vector) -> Vector:
     return v / l2_norm(v)
 
 
-def decompose_transform(
-    u: Vector, v: Vector, eps: float = DEGENERATE_EPS
-) -> tuple[float, float, RotationPlane]:
+def decompose_transform(u: Vector, v: Vector) -> tuple[float, float, RotationPlane]:
     """Split the map u -> v into (scale, in-plane angle, plane).
 
     scale * apply_rotation(u, plane, angle) reconstructs v. The angle sign
@@ -177,9 +173,9 @@ def decompose_transform(
     arbitrary plane through u.
     """
     nu, nv = l2_norm(u), l2_norm(v)
-    if nu <= eps or nv <= eps:
+    if nu <= DEGENERATE_EPS or nv <= DEGENERATE_EPS:
         raise ValueError("decompose_transform: inputs must have nonzero length")
-    plane = build_plane(u, v, eps)
+    plane = build_plane(u, v)
     if plane.degenerate:
         # v is (anti-)parallel to u: pure scaling, or scaling plus a half turn.
         e1 = u / nu

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkit import ConfigError, Matrix, Rng, Vector, kaiming_uniform, l2_norm, rowwise_matvec
-from .rotation import DEGENERATE_EPS, apply_rotation, apply_rotations, build_plane, build_planes
+from .rotation import apply_rotation, apply_rotations, build_plane, build_planes
 
 FLOOR_RNG_SALT = 0x666C6F6F72  # decouples the oracle's sample stream from training data
 FLOOR_ANGLE_STEP = 0.01
@@ -119,14 +119,14 @@ def make_rotation_separable_tasks(cfg: DatasetConfig, rng: Rng) -> list[TaskSpec
 def target_output(spec: TaskSpec, x: Vector) -> Vector:
     """Noiseless target: base map plus the task's rotated low-rank delta."""
     u = spec.a_star @ x
-    plane = build_plane(u, spec.q_star, DEGENERATE_EPS)
+    plane = build_plane(u, spec.q_star)
     return spec.w0_star @ x + spec.b_star @ apply_rotation(u, plane, spec.phi)
 
 
 def target_outputs(spec: TaskSpec, xs: Matrix) -> Matrix:
     """`target_output(spec, xs[j])` for every row j, bit for bit."""
     us = rowwise_matvec(spec.a_star, xs)
-    planes = build_planes(us, spec.q_star, DEGENERATE_EPS)
+    planes = build_planes(us, spec.q_star)
     m = xs.shape[0]
     turned = apply_rotations(
         us, planes, np.full(m, math.cos(spec.phi)), np.full(m, math.sin(spec.phi))
@@ -170,9 +170,7 @@ def sample_batch(specs: list[TaskSpec], cfg: DatasetConfig, rng: Rng) -> list[Sa
     return [Sample(task_id, x, y) for task_id, x, y in zip(task_ids, xs, ys)]
 
 
-def analytic_baseline_floor(
-    specs: list[TaskSpec], cfg: DatasetConfig, n_mc: int, rng: Rng | None = None
-) -> float:
+def analytic_baseline_floor(specs: list[TaskSpec], cfg: DatasetConfig, n_mc: int) -> float:
     """Best mean squared error reachable by scaling alone, via grid search.
 
     The scaling-only family with a single shared expert can produce deltas
@@ -186,8 +184,7 @@ def analytic_baseline_floor(
     """
     if n_mc < 10**4:
         raise ConfigError(f"analytic_baseline_floor: n_mc must be >= 1e4, got {n_mc}")
-    if rng is None:
-        rng = Rng(cfg.seed ^ FLOOR_RNG_SALT)
+    rng = Rng(cfg.seed ^ FLOOR_RNG_SALT)
     per_task = -(-n_mc // cfg.n_task)  # ceil division keeps tasks balanced
 
     # Candidate deltas decompose as cos(angle) * plain + sin(angle) * turned,
@@ -203,7 +200,7 @@ def analytic_baseline_floor(
                 - spec.w0_star @ x
             )
             u = spec.a_star @ x
-            plane = build_plane(u, spec.q_star, DEGENERATE_EPS)
+            plane = build_plane(u, spec.q_star)
             plain = spec.b_star @ u
             if plane.degenerate:
                 turned = np.zeros(cfg.d)

@@ -114,7 +114,10 @@ def train(
     """Run the SGD loop in place; returns the layer with metrics and angle logs.
 
     `data_rng` supplies every batch, so the whole run is a pure function of
-    the layer, the specs, and the rng state it arrives with.
+    the layer, the specs, and the rng state it arrives with. Raises
+    TrainingDiverged on a non-finite training loss or held-out MSE, or when a
+    parameter is not finite after the last update: under SGD a non-finite
+    value never turns finite again, so one check at the end covers every step.
     """
     d = layer.config.d
     batch_size = data_cfg.batch_size
@@ -143,5 +146,11 @@ def train(
         for name in params:
             params[name] -= lr * grads[name]
         if step % train_cfg.eval_every == 0 or step == train_cfg.steps - 1:
-            metrics.append(MetricsRecord(step, lr, loss, evaluate(layer, eval_samples)))
+            per_task_mse = evaluate(layer, eval_samples)
+            if not all(map(math.isfinite, per_task_mse.values())):
+                raise TrainingDiverged(f"non-finite held-out mse at step {step}")
+            metrics.append(MetricsRecord(step, lr, loss, per_task_mse))
+    for name, arr in params.items():
+        if not np.isfinite(arr).all():
+            raise TrainingDiverged(f"non-finite parameters in '{name}' after the last update")
     return layer, metrics, thetas

@@ -251,6 +251,15 @@ def test_mlp_hidden_dim():
         assert abs(count_trainable_routing_params(mlp) - (2 * d * n + r * n)) <= d + n
 
 
+def test_mlp_hidden_dim_rank_two():
+    # An r = 2 rotmole router has no anchors q: 2dn = 64 values at d=8, n=4,
+    # which H = 5 matches with dH + Hn = 60.
+    config = AdapterConfig(d=8, r=2, n=4, k=2)
+    assert count_trainable_routing_params(config) == 64
+    assert mlp_hidden_dim(config) == 5
+    assert count_trainable_routing_params(mlp_variant(config)) == 60
+
+
 def test_serialization_round_trip():
     for mode in ("scaling_only", "rotmole", "mlp_gate"):
         config = small_config(mode)
@@ -332,3 +341,18 @@ def test_gate_normalization_invariant():
             assert abs(float(decision.g.sum()) - 1.0) < 1e-12
             assert np.all(decision.g > 0.0)
             assert len(set(decision.selected)) == len(decision.selected)
+
+
+def test_load_layer_missing_file_names_path(tmp_path):
+    path = tmp_path / "nope.json"
+    with pytest.raises(ConfigError, match=r"cannot read layer .*nope\.json") as info:
+        load_layer(path)
+    assert "\n" not in str(info.value)
+
+
+def test_load_layer_invalid_json_names_path(tmp_path):
+    path = tmp_path / "layer.json"
+    path.write_text("{not json")
+    with pytest.raises(ConfigError, match=r"layer .*layer\.json is not valid JSON") as info:
+        load_layer(path)
+    assert "\n" not in str(info.value)

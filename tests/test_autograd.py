@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from rotmole.adapter import AdapterConfig, forward, init_adapter, trainable_params
+from rotmole.adapter import AdapterConfig, forward, init_adapter, route, trainable_params
 from rotmole.autograd import (
     backward,
     finite_diff_grad,
@@ -221,3 +223,50 @@ def test_zero_gradients_shapes_mirror_layer():
     for name in grads:
         assert grads[name].shape == params[name].shape
         assert np.all(grads[name] == 0.0)
+
+
+def _near_degenerate_oracle(layer, x):
+    """Gram-Schmidt of (A_i x, q_i) for each selected expert, |u| and the
+    anchor residual each compared against 1e-7."""
+    for i in route(layer, x).selected:
+        u = layer.experts[i].a @ x
+        u_len = math.sqrt(u @ u)
+        if u_len <= 1e-7:
+            return True
+        e1 = u / u_len
+        q = layer.router.q[i]
+        resid = q - (q @ e1) * e1
+        if math.sqrt(resid @ resid) <= 1e-7:
+            return True
+    return False
+
+
+def test_near_degenerate_matches_gram_schmidt_oracle():
+    # Each layer sees a generic input, inputs scaled so that |A_i x| falls
+    # on a log scale across [1e-9, 1e-6], and anchors set to a multiple of
+    # A_i x plus an orthogonal residual of such a length.
+    pairs = near = in_band = 0
+    for seed in range(300):
+        r, k = (3, 4)[seed % 2], 1 + seed % 2
+        layer, rng = make_layer(r=r, n=3, k=k, seed=seed)
+        for j in range(20):
+            x = rng.normals(6)
+            length = 10.0 ** rng.uniform(-9.0, -6.0)
+            if j % 2 == 1:
+                i = route(layer, x).selected[0]
+                x = x * (length / np.linalg.norm(layer.experts[i].a @ x))
+            elif j > 0:
+                i = route(layer, x).selected[-1]
+                u = layer.experts[i].a @ x
+                e1 = u / np.linalg.norm(u)
+                w = rng.normals(r)
+                w -= (w @ e1) * e1
+                layer.router.q[i] = rng.uniform(1.0, 2.0) * e1 + length * w / np.linalg.norm(w)
+            expected = _near_degenerate_oracle(layer, x)
+            assert near_degenerate(layer, x) == expected, (seed, j)
+            pairs += 1
+            near += expected
+            in_band += j > 0 and 1e-8 < length <= 1e-7
+    assert pairs == 6000
+    assert 2000 < near < 5000
+    assert in_band > 1000

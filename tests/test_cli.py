@@ -293,3 +293,44 @@ def test_compare_writes_comparison(tmp_path, capsys):
     assert abs(mlp - doc["modes"]["rotmole"]["routing_params"]) <= d + n
     assert doc["floor"] > 0.0
     assert doc["init_seed"] == 99 and doc["data_seed"] == 404
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+@pytest.mark.parametrize("lr0", [1e308, 1e306])
+def test_diverged_train_exits_1_and_writes_nothing(tmp_path, capsys, lr0):
+    # At 1e308 the first update leaves NaN in the held-out MSE, at 1e306 inf.
+    path = write_config(tmp_path, steps=1)
+    doc = json.loads(path.read_text())
+    doc["train"]["lr0"] = lr0
+    path.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "non-finite held-out mse at step 0" in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
+def test_eps_degenerate_key_exit_2(tmp_path, capsys):
+    path = write_config(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["adapter"]["eps_degenerate"] = 1e-8
+    path.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "adapter.eps_degenerate" in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--trials", "0"),
+    ("--trials", "-1"),
+    ("--tol", "nan"),
+    ("--tol", "inf"),
+    ("--tol", "-1"),
+])
+def test_gradcheck_bad_flag_exit_2(tmp_path, capsys, flag, value):
+    path = write_config(tmp_path)
+    assert main(["gradcheck", "--config", str(path), flag, value]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and flag in err[0], err
+    assert captured.out == ""

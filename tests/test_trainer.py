@@ -202,3 +202,17 @@ def test_theta_log_includes_final_step():
     _, metrics, thetas = train(layer, specs, data_cfg, cfg, rng, eval_samples)
     assert {m.step for m in metrics} == {0, 3, 6}
     assert {t.step for t in thetas} == {0, 3, 6}
+
+
+def test_non_finite_parameter_after_last_update_aborts():
+    # Expert 1's gate logit is always -1000 against expert 0's 0, so k = 1
+    # never selects it: an infinite entry in b1 leaves every loss and
+    # held-out MSE finite, and only the parameter check sees it.
+    layer, specs, data_cfg, train_cfg, rng, eval_samples = setup_run(
+        steps=3, n=2, k=1, mode="scaling_only"
+    )
+    layer.router.w_g[...] = 0.0
+    layer.router.w_g[-2:, 1] = -1000.0  # the task-indicator inputs
+    layer.experts[1].b[0, 0] = math.inf
+    with pytest.raises(TrainingDiverged, match="'b1' after the last update"):
+        train(layer, specs, data_cfg, train_cfg, rng, eval_samples)
