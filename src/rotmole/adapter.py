@@ -467,9 +467,11 @@ def save_layer(layer: AdapterLayer, path) -> None:
 
 def load_layer(path) -> AdapterLayer:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
         raise ConfigError(f"cannot read layer {path}: {e}")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"layer {path} is not valid UTF-8: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"layer {path} is not valid JSON: {e}")
     return layer_from_doc(doc)

@@ -88,9 +88,11 @@ class ExperimentResult:
 
 def load_experiment_config(path) -> ExperimentConfig:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config {path} is not valid UTF-8: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}")
     return from_doc(ExperimentConfig, doc)
@@ -217,9 +219,11 @@ def cmd_paramcount(config: ExperimentConfig) -> int:
 
 def _load_theta_records(path: Path) -> list[ThetaRecord]:
     try:
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
     except OSError as e:
         raise ConfigError(f"cannot read {path}: {e}")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path} is not valid UTF-8: {e}")
     records = []
     for ln, line in enumerate(lines, 1):
         if not line.strip():

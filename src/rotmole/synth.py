@@ -123,13 +123,17 @@ def target_output(spec: TaskSpec, x: Vector) -> Vector:
     return spec.w0_star @ x + spec.b_star @ apply_rotation(u, plane, spec.phi)
 
 
-def target_outputs(spec: TaskSpec, xs: Matrix) -> Matrix:
-    """`target_output(spec, xs[j])` for every row j, bit for bit."""
+def target_outputs(spec: TaskSpec, xs: Matrix, phis: Vector) -> Matrix:
+    """Row j is `target_output` of xs[j] at angle phis[j], bit for bit.
+
+    The generating arrays come from `spec`, whose own `phi` is not read, so
+    one call serves rows of every task that shares them.
+    """
     us = rowwise_matvec(spec.a_star, xs)
     planes = build_planes(us, spec.q_star)
-    m = xs.shape[0]
+    phis = phis.tolist()  # math's cos and sin, as apply_rotation takes them
     turned = apply_rotations(
-        us, planes, np.full(m, math.cos(spec.phi)), np.full(m, math.sin(spec.phi))
+        us, planes, np.array([math.cos(p) for p in phis]), np.array([math.sin(p) for p in phis])
     )
     return rowwise_matvec(spec.w0_star, xs) + rowwise_matvec(spec.b_star, turned)
 
@@ -141,33 +145,53 @@ def _draw_input(cfg: DatasetConfig, task_id: int, rng: Rng) -> Vector:
     return x
 
 
-def sample_batch(specs: list[TaskSpec], cfg: DatasetConfig, rng: Rng) -> list[Sample]:
-    """One balanced batch: tasks interleaved round-robin, exact equal counts.
+def draw_batch(
+    specs: list[TaskSpec], cfg: DatasetConfig, rng: Rng
+) -> tuple[np.ndarray, Matrix, Matrix]:
+    """One balanced batch as arrays: task ids (m,), inputs and targets (m, d).
 
-    Sample j draws its free input entries and then its output noise from
-    `rng`. The batch takes all of its draws in a few large `normals` calls,
-    which give the same stream, and its targets from `target_outputs` per
-    task, so it equals a loop of `_draw_input` and `target_output` per sample.
+    Tasks are interleaved round-robin, with exact equal counts. Row j
+    draws its free input entries and then its output noise from `rng`. The
+    batch takes all of its draws in a few large `normals` calls, which give
+    the same stream, and its targets from one `target_outputs` call, so it
+    equals a loop of `_draw_input` and `target_output` per sample. That call
+    needs the specs to share their generating arrays, as the specs of
+    `make_rotation_separable_tasks` do; other specs raise ValueError.
     """
     if not specs:
-        raise ValueError("sample_batch: specs must be nonempty")
+        raise ValueError("draw_batch: specs must be nonempty")
+    shared = specs[0]
+    if any(
+        spec.w0_star is not shared.w0_star
+        or spec.a_star is not shared.a_star
+        or spec.b_star is not shared.b_star
+        or spec.q_star is not shared.q_star
+        for spec in specs
+    ):
+        raise ValueError("draw_batch: specs must share w0_star, a_star, b_star and q_star")
     free = cfg.d - cfg.n_task
     width = free + cfg.d  # normals drawn per sample
-    m = cfg.samples_per_task_per_batch * len(specs)
+    per_task = cfg.samples_per_task_per_batch
+    m = per_task * len(specs)
     draws = np.empty((m, width))
     step = max(1, DRAW_BLOCK // width)
     for start in range(0, m, step):
         block = draws[start : start + step]
         block[...] = rng.normals(block.size).reshape(block.shape)
-    task_ids = [spec.task_id for spec in specs] * cfg.samples_per_task_per_batch
+    task_ids = np.array([spec.task_id for spec in specs] * per_task)
+    phis = np.array([spec.phi for spec in specs] * per_task)
     xs = np.zeros((m, cfg.d))
     xs[:, :free] = draws[:, :free]
-    xs[np.arange(m), free + np.array(task_ids)] = 1.0
-    ys = np.empty((m, cfg.d))
-    for t, spec in enumerate(specs):
-        rows = slice(t, m, len(specs))
-        ys[rows] = target_outputs(spec, xs[rows]) + cfg.noise_std * draws[rows, free:]
-    return [Sample(task_id, x, y) for task_id, x, y in zip(task_ids, xs, ys)]
+    xs[np.arange(m), free + task_ids] = 1.0
+    ys = target_outputs(shared, xs, phis)
+    ys += cfg.noise_std * draws[:, free:]
+    return task_ids, xs, ys
+
+
+def sample_batch(specs: list[TaskSpec], cfg: DatasetConfig, rng: Rng) -> list[Sample]:
+    """`draw_batch` as a list of `Sample`s."""
+    task_ids, xs, ys = draw_batch(specs, cfg, rng)
+    return [Sample(task_id, x, y) for task_id, x, y in zip(task_ids.tolist(), xs, ys)]
 
 
 def analytic_baseline_floor(specs: list[TaskSpec], cfg: DatasetConfig, n_mc: int) -> float:

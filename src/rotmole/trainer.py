@@ -19,12 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 # forward, backward and zero_gradients are the per-sample oracle of the
-# batched path. They stay importable here because benchmarks/spans.py patches
-# them on this module to time them.
+# batched path, and sample_batch the list form of draw_batch. They stay
+# importable here because benchmarks/spans.py patches them on this module to
+# time them.
 from .adapter import AdapterLayer, forward, forward_batch, trainable_params  # noqa: F401
 from .autograd import backward, backward_batch, zero_gradients  # noqa: F401
 from .numkit import ConfigError, Rng
-from .synth import DatasetConfig, Sample, TaskSpec, sample_batch
+from .synth import DatasetConfig, Sample, TaskSpec, draw_batch, sample_batch  # noqa: F401
 
 
 EVAL_BLOCK_VALUES = 16384  # entries of one (samples, d) array in `evaluate`
@@ -73,13 +74,9 @@ def lr_schedule(step: int, cfg: TrainConfig) -> float:
     return cfg.lr0 * (1.0 - step / cfg.steps)
 
 
-def _stack(samples: list[Sample]) -> tuple[np.ndarray, np.ndarray]:
-    return np.array([s.x for s in samples]), np.array([s.y for s in samples])
-
-
-def _row_mse(err: np.ndarray) -> list[float]:
+def _row_mse(err: np.ndarray) -> np.ndarray:
     """Mean square of each row, as np.mean computes it for one vector."""
-    return np.mean(err**2, axis=1).tolist()
+    return np.mean(err**2, axis=1)
 
 
 def evaluate(layer: AdapterLayer, samples: list[Sample]) -> dict[int, float]:
@@ -87,19 +84,19 @@ def evaluate(layer: AdapterLayer, samples: list[Sample]) -> dict[int, float]:
 
     Samples go through the batched forward in blocks of EVAL_BLOCK_VALUES / d,
     which bounds the size of its arrays; no row's result depends on the block.
+    Each task's errors are summed in sample order, and only tasks present in
+    `samples` get a key.
     """
     block = max(1, EVAL_BLOCK_VALUES // layer.config.d)
-    mses: list[float] = []
+    mses = np.empty(len(samples))
     for start in range(0, len(samples), block):
-        xs, ys = _stack(samples[start : start + block])
-        y_hat, _ = forward_batch(layer, xs)
-        mses.extend(_row_mse(y_hat - ys))
-    totals: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for sample, mse in zip(samples, mses):
-        totals[sample.task_id] = totals.get(sample.task_id, 0.0) + mse
-        counts[sample.task_id] = counts.get(sample.task_id, 0) + 1
-    return {t: totals[t] / counts[t] for t in sorted(totals)}
+        chunk = samples[start : start + block]
+        y_hat, _ = forward_batch(layer, np.array([s.x for s in chunk]))
+        mses[start : start + len(chunk)] = _row_mse(y_hat - np.array([s.y for s in chunk]))
+    task_ids = np.array([s.task_id for s in samples], dtype=np.intp)
+    totals, counts = np.bincount(task_ids, weights=mses), np.bincount(task_ids)
+    present = np.flatnonzero(counts)
+    return dict(zip(present.tolist(), (totals[present] / counts[present]).tolist()))
 
 
 def train(
@@ -125,19 +122,18 @@ def train(
     thetas: list[ThetaRecord] = []
     params = trainable_params(layer)
     for step in range(train_cfg.steps):
-        batch = sample_batch(specs, data_cfg, data_rng)
-        xs, ys = _stack(batch)
+        task_ids, xs, ys = draw_batch(specs, data_cfg, data_rng)
         y_hat, cache = forward_batch(layer, xs)
         err = y_hat - ys
         loss = 0.0
-        for mse in _row_mse(err):  # summed in sample order, as floats
+        for mse in _row_mse(err).tolist():  # summed in sample order, as floats
             loss += mse
         grads = backward_batch(layer, cache, 2.0 * err / (d * batch_size))
         if step % train_cfg.theta_log_every == 0 or step == train_cfg.steps - 1:
             rows, pos = np.nonzero(cache.selected == probe_expert)
             thetas.extend(
-                ThetaRecord(step, batch[j].task_id, probe_expert, theta)
-                for j, theta in zip(rows.tolist(), cache.theta[rows, pos].tolist())
+                ThetaRecord(step, task_id, probe_expert, theta)
+                for task_id, theta in zip(task_ids[rows].tolist(), cache.theta[rows, pos].tolist())
             )
         loss /= batch_size
         if not math.isfinite(loss):

@@ -356,3 +356,11 @@ def test_load_layer_invalid_json_names_path(tmp_path):
     with pytest.raises(ConfigError, match=r"layer .*layer\.json is not valid JSON") as info:
         load_layer(path)
     assert "\n" not in str(info.value)
+
+
+def test_load_layer_not_utf8_names_path(tmp_path):
+    path = tmp_path / "layer.json"
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(ConfigError, match=r"layer .*layer\.json is not valid UTF-8") as info:
+        load_layer(path)
+    assert "\n" not in str(info.value)

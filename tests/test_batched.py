@@ -28,6 +28,7 @@ from rotmole.synth import (
     DatasetConfig,
     Sample,
     _draw_input,
+    draw_batch,
     make_rotation_separable_tasks,
     sample_batch,
     target_output,
@@ -217,13 +218,31 @@ def test_sample_batch_matches_per_sample_draws(r, draw_block, monkeypatch):
     cfg = DatasetConfig(d=16, r=r, n_task=3, noise_std=0.05,
                         samples_per_task_per_batch=5, phi_separation=1.0, seed=51)
     specs = make_rotation_separable_tasks(cfg, Rng(cfg.seed))
-    a, b = Rng(52), Rng(52)
+    a, b, c = Rng(52), Rng(52), Rng(52)
     for _ in range(20):
         batch, ref = sample_batch(specs, cfg, a), per_sample_batch(specs, cfg, b)
-        assert [s.task_id for s in batch] == [s.task_id for s in ref]
-        assert np.array_equal(np.array([s.x for s in batch]), np.array([s.x for s in ref]))
-        assert np.array_equal(np.array([s.y for s in batch]), np.array([s.y for s in ref]))
-    assert a.next_u64() == b.next_u64()
+        task_ids, xs, ys = draw_batch(specs, cfg, c)
+        assert [s.task_id for s in batch] == [s.task_id for s in ref] == task_ids.tolist()
+        assert all(type(s.task_id) is int for s in batch)
+        ref_xs, ref_ys = np.array([s.x for s in ref]), np.array([s.y for s in ref])
+        assert np.array_equal(np.array([s.x for s in batch]), ref_xs)
+        assert np.array_equal(np.array([s.y for s in batch]), ref_ys)
+        assert np.array_equal(xs, ref_xs) and np.array_equal(ys, ref_ys)
+    assert a.next_u64() == b.next_u64() == c.next_u64()
+
+
+def test_sample_batch_rejects_specs_with_own_generators():
+    cfg = DatasetConfig(d=8, r=3, n_task=2, noise_std=0.0,
+                        samples_per_task_per_batch=2, phi_separation=1.0, seed=56)
+    specs = make_rotation_separable_tasks(cfg, Rng(cfg.seed))
+    for field in ("w0_star", "a_star", "b_star", "q_star"):
+        own = [specs[0], replace(specs[1], **{field: getattr(specs[1], field).copy()})]
+        rng = Rng(57)
+        with pytest.raises(ValueError, match="share"):
+            sample_batch(own, cfg, rng)
+        with pytest.raises(ValueError, match="share"):
+            draw_batch(own, cfg, rng)
+        assert rng.next_u64() == Rng(57).next_u64()  # nothing drawn
 
 
 def test_target_outputs_match_target_output():
@@ -232,9 +251,10 @@ def test_target_outputs_match_target_output():
     spec = make_rotation_separable_tasks(cfg, Rng(cfg.seed))[1]
     xs = Rng(54).normals(30 * 12).reshape(30, 12)
     xs[4] = 0.0  # degenerate plane
-    out = target_outputs(spec, xs)
-    for x, y in zip(xs, out):
-        assert np.array_equal(y, target_output(spec, x))
+    phis = Rng(55).uniforms(30, -math.pi, math.pi)  # a different angle on each row
+    out = target_outputs(spec, xs, phis)
+    for x, phi, y in zip(xs, phis.tolist(), out):
+        assert np.array_equal(y, target_output(replace(spec, phi=phi), x))
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +341,21 @@ def test_evaluate_in_blocks_matches_per_sample(monkeypatch):
     samples = sample_batch(make_rotation_separable_tasks(data_cfg, rng), data_cfg, rng)
     layer = random_layer(config, seed=72)
     assert evaluate(layer, samples) == per_sample_evaluate(layer, samples)
+
+
+def test_evaluate_keys_only_present_tasks():
+    config = AdapterConfig(d=16, r=3, n=2, k=1, mode="rotmole")
+    data_cfg = DatasetConfig(d=16, r=3, n_task=3, noise_std=0.01,
+                             samples_per_task_per_batch=4, phi_separation=1.0, seed=73)
+    rng = Rng(data_cfg.seed)
+    samples = sample_batch(make_rotation_separable_tasks(data_cfg, rng), data_cfg, rng)
+    held_out = [s for s in samples if s.task_id != 1]  # task 1 absent, task 2 present
+    layer = random_layer(config, seed=74)
+    per_task = evaluate(layer, held_out)
+    assert list(per_task) == [0, 2]
+    assert all(type(t) is int and type(v) is float and math.isfinite(v)
+               for t, v in per_task.items())
+    assert per_task == per_sample_evaluate(layer, held_out)
 
 
 def test_theta_record_has_no_instance_dict():

@@ -66,6 +66,18 @@ def test_load_config_invalid_json_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+NOT_UTF8 = b"\xff\xfe{"
+
+
+def test_load_config_not_utf8_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(NOT_UTF8)
+    assert main(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "bad.json is not valid UTF-8" in err[0], err[0]
+
+
 def test_load_config_cross_field_validation(tmp_path):
     path = write_config(tmp_path)
     doc = json.loads(path.read_text())
@@ -215,6 +227,15 @@ def test_analyze_roundtrip(tmp_path, capsys):
 def test_analyze_missing_file_exit_2(tmp_path, capsys):
     assert main(["analyze", "--thetas", str(tmp_path / "nope.jsonl"),
                  "--snapshots", "0"]) == 2
+
+
+def test_analyze_not_utf8_exit_2(tmp_path, capsys):
+    thetas = tmp_path / "thetas.jsonl"
+    thetas.write_bytes(NOT_UTF8)
+    assert main(["analyze", "--thetas", str(thetas), "--snapshots", "0"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "thetas.jsonl is not valid UTF-8" in err[0], err[0]
 
 
 def test_analyze_empty_records_exit_2(tmp_path, capsys):
