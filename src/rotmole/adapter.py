@@ -9,11 +9,14 @@ gate-values-only baseline, and "mlp_gate" swaps the linear scaling gate for a
 two-layer MLP of matched trainable size.
 
 `forward` handles one input and is the oracle of `forward_batch`, which
-handles a batch with its rows grouped per expert and gives the same bits.
+handles a batch and gives the same bits. The batch's (row, expert) pairs are
+sorted by expert: a loop over experts runs only the d-sized products on each
+expert's contiguous slice, and the rotation gate runs once over all pairs.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
@@ -126,32 +129,40 @@ class ForwardCache:
 
 @dataclass
 class ExpertRows:
-    """The rows of a batch routed to one expert, in sample order, and what
-    `forward_batch` computed for them."""
+    """A batch's (row, slot) pairs, sorted by expert, and what
+    `forward_batch` computed for them.
 
-    expert: int
-    rows: np.ndarray  # (m,) sample indices, ascending
-    pos: np.ndarray  # (m,) the expert's top-k position in each of those rows
-    us: Matrix  # (m, r) A_i x per row
-    rotated: Matrix  # (m, r)
-    cos: Vector | None = None  # rotmole: cos and sin of each row's angle
+    Each of the B rows of a batch selects k experts, which makes B*k pairs.
+    They are stably sorted by expert, so each expert owns one contiguous
+    slice of every per-pair array, with its rows in sample order.
+    """
+
+    spans: list[tuple[int, slice]]  # (expert, its slice) per expert with pairs, ascending
+    experts: np.ndarray  # (B*k,) expert of each pair
+    order: np.ndarray  # (B*k,) flat index of each pair into a (B, k) array
+    rows: np.ndarray  # (B*k,) sample index of each pair
+    us: Matrix  # (B*k, r) A_i x
+    rotated: Matrix  # (B*k, r)
+    sig: Vector | None = None  # rotmole: sigmoid of each pair's angle-gate logit
+    cos: Vector | None = None  # rotmole: cos and sin of each pair's angle
     sin: Vector | None = None
-    rotations: np.ndarray | None = None  # rotmole, r = 2: (m, 2, 2) matrices
+    rotations: np.ndarray | None = None  # rotmole, r = 2: (B*k, 2, 2) matrices
     planes: PlaneBatch | None = None  # rotmole, r > 2
 
 
 @dataclass
 class BatchCache:
-    """What the batched backward pass needs from one `forward_batch` call."""
+    """What the batched backward pass needs from one `forward_batch` call:
+    per-row routing and deltas in (B, k) arrays, in each row's top-k order,
+    and the per-pair results sorted by expert in `pairs`."""
 
     config: AdapterConfig
     xs: Matrix  # (B, d)
     selected: np.ndarray  # (B, k) expert indices, each row in descending gate order
     g: Matrix  # (B, k) renormalized gate values
     theta: Matrix  # (B, k) angles, zeros outside rotmole mode
-    theta_sig: Matrix  # (B, k) sigmoid of the angle-gate logits, zeros outside rotmole
     deltas: np.ndarray  # (B, k, d) B_i (rotated) per selected expert
-    groups: list[ExpertRows]  # one per expert with at least one row, by expert index
+    pairs: ExpertRows
     mlp_pre: Matrix | None = None
     mlp_hidden: Matrix | None = None
 
@@ -298,12 +309,17 @@ def forward_batch(layer: AdapterLayer, xs: Matrix) -> tuple[Matrix, BatchCache]:
     """`forward` of every row of xs at once; row j of the output is
     `forward(layer, xs[j])[0]` bit for bit.
 
-    Rows are grouped per expert, in sample order, so each expert's matrices
-    meet all of its rows in one stacked product. Every product is a row-wise
-    form of the one `forward` uses (see numkit), ranking is a stable sort of
-    the same softmax values, and the angle gate's sigmoid, cosine and sine
-    are taken per value with the same scalar functions, so the per-sample
-    `forward` is the oracle of this path.
+    The (row, slot) selections are sorted by expert (see `ExpertRows`), as
+    Switch Transformer and MegaBlocks dispatch tokens. A loop over experts
+    does only the d-sized products, each as one stacked product over the
+    expert's slice: A_i x, the angle-gate logit and B_i (rotated). The logit
+    stays a dot with the strided column `w_theta[:, i]`, which is what
+    `forward` computes, so it keeps its bits. The r-dimensional angle gate,
+    Gram-Schmidt planes and rotation run once over all pairs. Every product
+    is a row-wise form of the one `forward` uses (see numkit), ranking is a
+    stable sort of the same softmax values, and the angle gate's sigmoid,
+    cosine and sine are taken per value with the same scalar functions, so
+    the per-sample `forward` is the oracle of this path.
     """
     config = layer.config
     if xs.ndim != 2 or xs.shape[1] != config.d:
@@ -318,37 +334,43 @@ def forward_batch(layer: AdapterLayer, xs: Matrix) -> tuple[Matrix, BatchCache]:
         logits = rowwise_vecmat(xs, router.w_g)
     selected = np.argsort(-row_softmax(logits), axis=1, kind="stable")[:, : config.k]
     g = row_softmax(np.take_along_axis(logits, selected, axis=1))
+    flat = selected.ravel()
+    order = np.argsort(flat, kind="stable")  # pairs by expert, rows ascending within one
+    counts = np.bincount(flat, minlength=config.n).tolist()
+    ends = itertools.accumulate(counts)
+    spans = [(i, slice(end - c, end)) for i, (c, end) in enumerate(zip(counts, ends)) if c]
+    rows = order // config.k
+    us = np.empty((order.size, config.r))
+    # rotated is us itself outside rotmole mode
+    pairs = ExpertRows(spans, flat[order], order, rows, us=us, rotated=us)
     theta = np.zeros(selected.shape)
-    theta_sig = np.zeros(selected.shape)
-    deltas = np.zeros(selected.shape + (config.d,))
-    groups = []
-    for i, expert in enumerate(layer.experts):
-        rows, pos = np.nonzero(selected == i)
-        if rows.size == 0:
-            continue
-        x_i = xs[rows]
-        us = rowwise_matvec(expert.a, x_i)
-        group = ExpertRows(i, rows, pos, us, us)
+    t_logits = np.empty(order.size)
+    for i, span in spans:
+        x = xs.take(rows[span], axis=0)
+        us[span] = rowwise_matvec(layer.experts[i].a, x)
         if config.mode == "rotmole":
-            t_logits = rowwise_vecmat(x_i, router.w_theta[:, i : i + 1])[:, 0]
-            sig = np.array([sigmoid(t) for t in t_logits.tolist()])
-            angles = np.clip(2.0 * math.pi * sig - math.pi, -THETA_LIMIT, THETA_LIMIT)
-            theta[rows, pos] = angles
-            theta_sig[rows, pos] = sig
-            group.cos = np.array([math.cos(t) for t in angles.tolist()])
-            group.sin = np.array([math.sin(t) for t in angles.tolist()])
-            if config.r == 2:
-                group.rotations = rotation_matrices_2d(group.cos, group.sin)
-                group.rotated = np.matmul(group.rotations, us[:, :, None])[:, :, 0]
-            else:
-                group.planes = build_planes(us, router.q[i])
-                group.rotated = apply_rotations(us, group.planes, group.cos, group.sin)
-        deltas[rows, pos] = rowwise_matvec(expert.b, group.rotated)
-        groups.append(group)
+            t_logits[span] = rowwise_vecmat(x, router.w_theta[:, i : i + 1])[:, 0]
+    if config.mode == "rotmole":
+        pairs.sig = np.fromiter(map(sigmoid, t_logits.tolist()), float, order.size)
+        angles = np.clip(2.0 * math.pi * pairs.sig - math.pi, -THETA_LIMIT, THETA_LIMIT)
+        theta.put(order, angles)
+        angles = angles.tolist()
+        pairs.cos = np.fromiter(map(math.cos, angles), float, order.size)
+        pairs.sin = np.fromiter(map(math.sin, angles), float, order.size)
+        if config.r == 2:
+            pairs.rotations = rotation_matrices_2d(pairs.cos, pairs.sin)
+            pairs.rotated = np.matmul(pairs.rotations, us[:, :, None])[:, :, 0]
+        else:
+            pairs.planes = build_planes(us, router.q.take(pairs.experts, axis=0))
+            pairs.rotated = apply_rotations(us, pairs.planes, pairs.cos, pairs.sin)
+    deltas = np.empty((order.size, config.d))  # rows in (row, slot) order
+    for i, span in spans:
+        deltas[order[span]] = rowwise_matvec(layer.experts[i].b, pairs.rotated[span])
+    deltas = deltas.reshape(selected.shape + (config.d,))
     ys = rowwise_matvec(layer.w0, xs)
     for p in range(config.k):
         ys = ys + g[:, p : p + 1] * deltas[:, p]
-    cache = BatchCache(config, xs, selected, g, theta, theta_sig, deltas, groups, mlp_pre, mlp_hidden)
+    cache = BatchCache(config, xs, selected, g, theta, deltas, pairs, mlp_pre, mlp_hidden)
     return ys, cache
 
 

@@ -73,7 +73,8 @@ def build_plane(u: Vector, q: Vector) -> RotationPlane:
 
 @dataclass(frozen=True)
 class PlaneBatch:
-    """The planes of many inputs u against one anchor q, one row per input.
+    """The planes of many inputs u, each against its anchor q, one row per
+    input.
 
     Fields hold what `build_plane` computes for each row. Rows flagged in
     `degenerate` rotate as the identity; their basis rows are meaningless.
@@ -87,15 +88,23 @@ class PlaneBatch:
     resid_norm: Vector
 
 
-def build_planes(us: Matrix, q: Vector) -> PlaneBatch:
-    """`build_plane(us[j], q)` for every row j, as arrays."""
-    if us.ndim != 2 or us.shape[1] < 2:
-        raise ConfigError(f"build_planes: need rows of dimension >= 2, got {us.shape}")
+def build_planes(us: Matrix, qs: np.ndarray) -> PlaneBatch:
+    """`build_plane(us[j], qs[j])` for every row j, as arrays.
+
+    `qs` holds each row's anchor, shaped like `us`, or is one anchor of
+    shape (r,) that every row shares. Degenerate rows are masked before any
+    division, so they raise no floating-point warning.
+    """
+    if us.ndim != 2 or us.shape[1] < 2 or qs.shape not in (us.shape, us.shape[1:]):
+        raise ConfigError(
+            f"build_planes: need rows of dimension >= 2 and an anchor per row or one "
+            f"for all, got {us.shape} and {qs.shape}"
+        )
     u_norm = np.sqrt(rowwise_dot(us, us))
     short = u_norm <= DEGENERATE_EPS
     e1 = us / np.where(short, 1.0, u_norm)[:, None]
-    proj = np.matmul(q, e1[:, :, None])[:, 0]  # q @ e1 per row, operands in build_plane's order
-    resid = q - proj[:, None] * e1
+    proj = np.matmul(qs[..., None, :], e1[:, :, None])[:, 0, 0]  # q @ e1 per row, as build_plane
+    resid = qs - proj[:, None] * e1
     resid_norm = np.sqrt(rowwise_dot(resid, resid))
     degenerate = short | (resid_norm <= DEGENERATE_EPS)
     e2 = resid / np.where(degenerate, 1.0, resid_norm)[:, None]

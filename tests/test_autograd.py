@@ -3,9 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from rotmole.adapter import AdapterConfig, forward, init_adapter, route, trainable_params
+from rotmole.adapter import (
+    AdapterConfig,
+    forward,
+    init_adapter,
+    mlp_variant,
+    route,
+    trainable_params,
+)
 from rotmole.autograd import (
+    GRADCHECK_H,
+    GRADCHECK_TOL,
     backward,
+    compare_gradients,
     finite_diff_grad,
     grad_check,
     gradcheck_trials,
@@ -144,6 +154,58 @@ def test_grad_check_zero_tolerance_fails():
     report = grad_check(layer, rng.normals(6), rng.normals(6), tol=0.0)
     assert not report.passed
     assert max(g.max_rel_err for g in report.groups) > 0.0
+
+
+def test_grad_check_passes_correct_gradient_near_zero():
+    # An entry of b2 sits near zero, where the central difference's rounding
+    # gives it a relative error of 4.8e-3: only the rounding term passes it.
+    config = AdapterConfig(d=32, r=4, n=4, k=2, mode="scaling_only")
+    (report,) = gradcheck_trials(config, 1, seed=6)
+    assert report.passed, report.to_doc()
+    assert max(g.max_rel_err for g in report.groups) > GRADCHECK_TOL
+
+
+def trial_gradients(config, seed):
+    """Analytic and central-difference gradients, and the loss, of one
+    grad_check trial at a generic point."""
+    rng = Rng(seed)
+    layer = init_adapter(config, rng)
+    randomize_layer(layer, rng)
+    x, target = rng.normals(config.d), rng.normals(config.d)
+    assert not near_degenerate(layer, x)
+    y, cache = forward(layer, x)
+    analytic = backward(layer, cache, 2.0 * (y - target) / config.d)
+
+    def loss_fn(lay):
+        y_pert, _ = forward(lay, x, force_selected=cache.decision.selected)
+        return float(np.mean((y_pert - target) ** 2))
+
+    numeric = finite_diff_grad(loss_fn, layer, GRADCHECK_H)
+    return analytic, numeric, float(np.mean((y - target) ** 2))
+
+
+@pytest.mark.parametrize("mode, r", [("rotmole", 4), ("rotmole", 2), ("scaling_only", 4), ("mlp_gate", 4)])
+def test_grad_check_fails_planted_bugs(mode, r):
+    config = AdapterConfig(d=32, r=r, n=4, k=2, mode="rotmole" if mode == "mlp_gate" else mode)
+    if mode == "mlp_gate":
+        config = mlp_variant(config)
+    analytic, numeric, loss = trial_gradients(config, seed=91)
+
+    def verdict(grads):
+        return compare_gradients(grads, numeric, loss, config.d, GRADCHECK_H, GRADCHECK_TOL).passed
+
+    assert verdict(analytic)
+    planted = 0
+    for name, arr in analytic.items():
+        j = int(np.argmax(np.abs(arr)))
+        if arr.flat[j] == 0.0:  # an unselected expert: nothing to get wrong
+            continue
+        for factor in (-1.0, 1.0 + 1e-3):  # a flipped sign, an entry 0.1% off
+            wrong = dict(analytic, **{name: arr.copy()})
+            wrong[name].flat[j] *= factor
+            assert not verdict(wrong), (name, factor)
+        planted += 1
+    assert planted == len(analytic) - 2 * (config.n - config.k)
 
 
 def test_grad_check_report_groups_follow_mode():
