@@ -9,9 +9,12 @@ gate-values-only baseline, and "mlp_gate" swaps the linear scaling gate for a
 two-layer MLP of matched trainable size.
 
 `forward` handles one input and is the oracle of `forward_batch`, which
-handles a batch and gives the same bits. The batch's (row, expert) pairs are
-sorted by expert: a loop over experts runs only the d-sized products on each
-expert's contiguous slice, and the rotation gate runs once over all pairs.
+handles a batch and gives the same bits. It is also the inner loop of
+gradient certification, two calls per certified scalar, so it is kept lean
+without moving a bit (README, "Per-sample path"). The batch's (row, expert)
+pairs are sorted by expert: a loop over experts runs only the d-sized
+products on each expert's contiguous slice, and the rotation gate runs once
+over all pairs.
 """
 
 from __future__ import annotations
@@ -96,7 +99,7 @@ class RouterParams:
     mlp_w2: Matrix | None = None  # (H, n), mlp_gate only
 
 
-@dataclass(frozen=True)
+@dataclass  # not frozen: a frozen dataclass costs about 1 us more per object
 class RoutingDecision:
     selected: tuple[int, ...]  # k indices in descending gate order
     g: Vector  # k renormalized gate values, sum to 1
@@ -232,7 +235,7 @@ def _route_full(layer: AdapterLayer, x: Vector, force_selected=None):
         raise ShapeError(f"route: input shape {x.shape} does not match d={config.d}")
     logits, mlp_pre, mlp_hidden = _gate_logits(layer, x)
     if force_selected is None:
-        s = softmax(logits)
+        s = softmax(logits).tolist()
         order = sorted(range(config.n), key=lambda i: (-s[i], i))
         selected = tuple(order[: config.k])
     else:
@@ -240,14 +243,14 @@ def _route_full(layer: AdapterLayer, x: Vector, force_selected=None):
     # Renormalizing the selected softmax values cancels the full denominator,
     # so compute g directly from the selected logits: same value, and exactly
     # independent of unselected logits.
-    g = softmax(logits[list(selected)])
-    theta_logits = np.zeros(len(selected))
-    theta = np.zeros(len(selected))
+    g = softmax(logits.take(selected))
     if config.mode == "rotmole":
-        for pos, i in enumerate(selected):
-            t = float(x @ layer.router.w_theta[:, i])
-            theta_logits[pos] = t
-            theta[pos] = _clamp_angle(2.0 * math.pi * sigmoid(t) - math.pi)
+        w_theta = layer.router.w_theta
+        t_list = [float(x @ w_theta[:, i]) for i in selected]
+        angles = [_clamp_angle(2.0 * math.pi * sigmoid(t) - math.pi) for t in t_list]
+        theta_logits, theta = np.array(t_list), np.array(angles)
+    else:
+        theta_logits, theta = np.zeros(len(selected)), np.zeros(len(selected))
     decision = RoutingDecision(selected, g, theta)
     return decision, theta_logits, mlp_pre, mlp_hidden
 
@@ -269,23 +272,22 @@ def forward(
     """
     config = layer.config
     decision, theta_logits, mlp_pre, mlp_hidden = _route_full(layer, x, force_selected)
+    rotating = config.mode == "rotmole"
     y = matvec(layer.w0, x)
     us, planes, rotated, deltas = [], [], [], []
-    for pos, i in enumerate(decision.selected):
+    for i, g_i, theta in zip(decision.selected, decision.g.tolist(), decision.theta.tolist()):
         expert = layer.experts[i]
         u = expert.a @ x
         plane = None
-        if config.mode == "rotmole":
-            theta = float(decision.theta[pos])
-            if config.r == 2:
-                rot = rotation_matrix_2d(theta) @ u
-            else:
-                plane = build_plane(u, layer.router.q[i])
-                rot = apply_rotation(u, plane, theta)
-        else:
+        if not rotating:
             rot = u
+        elif config.r == 2:
+            rot = rotation_matrix_2d(theta) @ u
+        else:
+            plane = build_plane(u, layer.router.q[i])
+            rot = apply_rotation(u, plane, theta)
         delta = expert.b @ rot
-        y = y + decision.g[pos] * delta
+        y += g_i * delta
         us.append(u)
         planes.append(plane)
         rotated.append(rot)

@@ -182,7 +182,7 @@ def matvec(m: Matrix, v: Vector) -> Vector:
 
 
 def l2_norm(v: Vector) -> float:
-    return float(np.sqrt(v @ v))
+    return math.sqrt(v @ v)  # rounds as np.sqrt does: both are IEEE square roots
 
 
 # Row-wise forms of the one-vector products `m @ x`, `x @ m` and `a @ b`.
@@ -223,10 +223,14 @@ def sum_rows(terms: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: Vector) -> Vector:
-    """Stable softmax: subtract the max before exponentiating."""
-    shifted = logits - np.max(logits)
+    """Stable softmax: subtract the max before exponentiating.
+
+    `.max()` and `.sum()` run the same reductions as `np.max` and `np.sum`,
+    without their Python wrappers.
+    """
+    shifted = logits - logits.max()
     e = np.exp(shifted)
-    return e / np.sum(e)
+    return e / e.sum()
 
 
 def row_softmax(logits: Matrix) -> Matrix:

@@ -23,14 +23,15 @@ import numpy as np
 from .numkit import ConfigError, Matrix, Vector, l2_norm, rowwise_dot
 
 
-@dataclass(frozen=True)
+@dataclass
 class RotationPlane:
     """Orthonormal basis of the rotation sub-plane, plus construction byproducts.
 
     When `degenerate` is true the basis fields are None and any rotation on
     this plane is the identity. `u_norm`, `q_dot_e1` and `resid_norm` are the
     intermediates of the Gram-Schmidt construction; the backward pass reuses
-    them instead of recomputing.
+    them instead of recomputing. Not frozen: a frozen dataclass costs about
+    1 us more per object, and `forward` builds one per selected expert.
     """
 
     e1: Vector | None

@@ -167,29 +167,38 @@ def test_grad_check_passes_correct_gradient_near_zero():
 
 def trial_gradients(config, seed):
     """Analytic and central-difference gradients, and the loss, of one
-    grad_check trial at a generic point."""
+    grad_check trial at a generic point; then the layer, and the forward
+    cache and output gradient that `backward` took."""
     rng = Rng(seed)
     layer = init_adapter(config, rng)
     randomize_layer(layer, rng)
     x, target = rng.normals(config.d), rng.normals(config.d)
     assert not near_degenerate(layer, x)
     y, cache = forward(layer, x)
-    analytic = backward(layer, cache, 2.0 * (y - target) / config.d)
+    dl_dy = 2.0 * (y - target) / config.d
+    analytic = backward(layer, cache, dl_dy)
 
     def loss_fn(lay):
         y_pert, _ = forward(lay, x, force_selected=cache.decision.selected)
         return float(np.mean((y_pert - target) ** 2))
 
     numeric = finite_diff_grad(loss_fn, layer, GRADCHECK_H)
-    return analytic, numeric, float(np.mean((y - target) ** 2))
+    return analytic, numeric, float(np.mean((y - target) ** 2)), layer, cache, dl_dy
 
 
-@pytest.mark.parametrize("mode, r", [("rotmole", 4), ("rotmole", 2), ("scaling_only", 4), ("mlp_gate", 4)])
-def test_grad_check_fails_planted_bugs(mode, r):
+SWEEP_ARMS = [("rotmole", 4), ("rotmole", 2), ("scaling_only", 4), ("mlp_gate", 4)]
+
+
+def sweep_config(mode, r):
+    """The d=32, n=4, k=2 layer of one arm; mlp_gate is sized to match rotmole."""
     config = AdapterConfig(d=32, r=r, n=4, k=2, mode="rotmole" if mode == "mlp_gate" else mode)
-    if mode == "mlp_gate":
-        config = mlp_variant(config)
-    analytic, numeric, loss = trial_gradients(config, seed=91)
+    return mlp_variant(config) if mode == "mlp_gate" else config
+
+
+@pytest.mark.parametrize("mode, r", SWEEP_ARMS)
+def test_grad_check_fails_planted_bugs(mode, r):
+    config = sweep_config(mode, r)
+    analytic, numeric, loss, *_ = trial_gradients(config, seed=91)
 
     def verdict(grads):
         return compare_gradients(grads, numeric, loss, config.d, GRADCHECK_H, GRADCHECK_TOL).passed
@@ -206,6 +215,113 @@ def test_grad_check_fails_planted_bugs(mode, r):
             assert not verdict(wrong), (name, factor)
         planted += 1
     assert planted == len(analytic) - 2 * (config.n - config.k)
+
+
+def plane_backward_terms(layer, cache, dl_dy, pos):
+    """Two terms of backward()'s plane backward for the selected expert at
+    `pos`, recomputed from the cache: the anchor term resid_bar -
+    (resid_bar.e1) e1 that it adds to q[i], and the part
+    (e1_bar - (e1_bar.e1) e1) / |u| of u_bar, as it reaches a_i."""
+    i, plane = cache.decision.selected[pos], cache.planes[pos]
+    e1, e2 = plane.e1, plane.e2
+    rot_bar = float(cache.decision.g[pos]) * (layer.experts[i].b.T @ dl_dy)
+    e2_bar = (math.sin(float(cache.decision.theta[pos])) * plane.u_norm) * rot_bar
+    resid_bar = (e2_bar - float(e2_bar @ e2) * e2) / plane.resid_norm
+    anchor = resid_bar - float(resid_bar @ e1) * e1
+    e1_bar = -float(resid_bar @ e1) * layer.router.q[i] - plane.q_dot_e1 * resid_bar
+    return anchor, np.outer((e1_bar - float(e1_bar @ e1) * e1) / plane.u_norm, cache.x)
+
+
+def test_grad_check_fails_planted_plane_backward_bugs():
+    config = sweep_config("rotmole", 4)
+    analytic, numeric, loss, layer, cache, dl_dy = trial_gradients(config, seed=91)
+
+    def verdict(grads):
+        return compare_gradients(grads, numeric, loss, config.d, GRADCHECK_H, GRADCHECK_TOL).passed
+
+    assert verdict(analytic)
+    for pos, i in enumerate(cache.decision.selected):
+        assert not cache.planes[pos].degenerate
+        anchor, a_term = plane_backward_terms(layer, cache, dl_dy, pos)
+        # One sample: q[i]'s gradient is the anchor term alone, bit for bit.
+        assert np.array_equal(analytic["q"][i], anchor)
+        for name, row, term in (("q", i, anchor), (f"a{i}", slice(None), a_term)):
+            wrong = dict(analytic, **{name: analytic[name].copy()})
+            wrong[name][row] -= term
+            assert not verdict(wrong), name
+
+
+# Per-group max_rel_err of gradcheck_trials(config, 2, seed=91), as reprs,
+# which name each double exactly. Any change to forward, backward,
+# finite_diff_grad or grad_check's loss that moves a bit of the certificate
+# shows here. Recorded on numpy 2.4.6; regenerate only if numpy or the BLAS
+# changes.
+CERTIFICATE_GOLDENS = {
+    ("rotmole", 4): [
+        {
+            "a0": "0.0", "b0": "0.0", "a1": "0.0", "b1": "0.0", "a2": "2.345282865838281e-09",
+            "b2": "8.80168806106786e-09", "a3": "2.8625149513532224e-08",
+            "b3": "6.737433272014961e-08", "w_g": "6.611237640755495e-10",
+            "w_theta": "1.4290988926984379e-08", "q": "1.4685320473760433e-08",
+        },
+        {
+            "a0": "0.0", "b0": "0.0", "a1": "1.3844506584679211e-08",
+            "b1": "2.1043689728731767e-07", "a2": "1.3988072281512519e-08",
+            "b2": "1.8081006787485189e-07", "a3": "0.0", "b3": "0.0",
+            "w_g": "1.9210640605320317e-09", "w_theta": "9.277749659347928e-09",
+            "q": "1.8742983440931444e-08",
+        },
+    ],
+    ("rotmole", 2): [
+        {
+            "a0": "0.0", "b0": "0.0", "a1": "3.355975020640384e-09",
+            "b1": "7.323566534754722e-07", "a2": "6.252901802415037e-09",
+            "b2": "3.1253412935384955e-07", "a3": "0.0", "b3": "0.0",
+            "w_g": "1.483489757827683e-07", "w_theta": "5.094630147609385e-09",
+        },
+        {
+            "a0": "1.401716006774007e-06", "b0": "1.7856406655680976e-08",
+            "a1": "2.42501109127513e-08", "b1": "2.4395637934174683e-08", "a2": "0.0",
+            "b2": "0.0", "a3": "0.0", "b3": "0.0", "w_g": "2.88243829290568e-07",
+            "w_theta": "1.0613000256693172e-07",
+        },
+    ],
+    ("scaling_only", 4): [
+        {
+            "a0": "0.0", "b0": "0.0", "a1": "4.48278684551755e-09",
+            "b1": "4.612022085855118e-08", "a2": "0.0", "b2": "0.0",
+            "a3": "1.5189459438791023e-07", "b3": "1.9844273506681151e-07",
+            "w_g": "9.749424046181395e-10",
+        },
+        {
+            "a0": "1.7293592767689255e-08", "b0": "1.0121458240658876e-07",
+            "a1": "1.3898916262201095e-07", "b1": "5.900679851142719e-07", "a2": "0.0",
+            "b2": "0.0", "a3": "0.0", "b3": "0.0", "w_g": "2.1170958308161132e-08",
+        },
+    ],
+    ("mlp_gate", 4): [
+        {
+            "a0": "7.56798497737689e-05", "b0": "2.130968470014873e-07", "a1": "0.0",
+            "b1": "0.0", "a2": "1.410344414235476e-07", "b2": "7.003720033915283e-09",
+            "a3": "0.0", "b3": "0.0", "mlp_w1": "4.9310071003249665e-06",
+            "mlp_w2": "1.505083277092116e-10",
+        },
+        {
+            "a0": "0.0", "b0": "0.0", "a1": "3.166311489867933e-09",
+            "b1": "1.00397501084091e-08", "a2": "9.027046597133292e-10",
+            "b2": "6.01308852773182e-08", "a3": "0.0", "b3": "0.0",
+            "mlp_w1": "2.848796833299991e-08", "mlp_w2": "2.7136241135176265e-10",
+        },
+    ],
+}
+
+
+@pytest.mark.parametrize("mode, r", SWEEP_ARMS)
+def test_gradcheck_trials_reproduce_certificate_goldens(mode, r):
+    reports = gradcheck_trials(sweep_config(mode, r), 2, seed=91)
+    assert all(report.passed for report in reports)
+    got = [[(g.name, repr(g.max_rel_err)) for g in report.groups] for report in reports]
+    assert got == [list(trial.items()) for trial in CERTIFICATE_GOLDENS[(mode, r)]]
 
 
 def test_grad_check_report_groups_follow_mode():

@@ -184,6 +184,72 @@ def test_ranking_on_underflowed_softmax_matches_per_sample(mode):
 
 
 # ---------------------------------------------------------------------------
+# The pinned branch: finite differences run only `forward(..., force_selected=...)`
+# ---------------------------------------------------------------------------
+
+
+def same_field(a, b) -> bool:
+    """`same_bits` for a cache field that may be None."""
+    return a is b if a is None or b is None else same_bits(a, b)
+
+
+def assert_pinning_keeps_bits(layer, xs):
+    """Pinning each row's own selection changes no bit of what `forward`
+    returns: the output and every field of its cache."""
+    for x in xs:
+        y, cache = forward(layer, x)
+        y_pin, pinned = forward(layer, x, force_selected=cache.decision.selected)
+        assert same_bits(y_pin, y)
+        assert pinned.decision.selected == cache.decision.selected
+        assert same_bits(pinned.decision.g, cache.decision.g)
+        assert same_bits(pinned.decision.theta, cache.decision.theta)
+        assert same_bits(pinned.theta_logits, cache.theta_logits)
+        for name in ("us", "rotated", "deltas"):
+            got, want = getattr(pinned, name), getattr(cache, name)
+            assert len(got) == len(want) and all(map(same_bits, got, want)), name
+        for name in ("mlp_pre", "mlp_hidden"):
+            assert same_field(getattr(pinned, name), getattr(cache, name)), name
+        assert len(pinned.planes) == len(cache.planes)
+        for got, want in zip(pinned.planes, cache.planes):
+            if want is None:
+                assert got is None
+                continue
+            assert got.degenerate == want.degenerate
+            for name in ("e1", "e2", "u_norm", "q_dot_e1", "resid_norm"):
+                assert same_field(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("arm", ARMS)
+def test_pinned_forward_matches_unpinned(arm, shape):
+    d, n, k, _ = shape
+    layer = random_layer(arm_config(arm, d, n, k), seed=41)
+    assert_pinning_keeps_bits(layer, Rng(42).normals(16 * d).reshape(16, d))
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (4, 2)])
+def test_pinned_forward_matches_unpinned_on_degenerate_planes(n, k):
+    d = 16 if n == 1 else 32
+    layer = random_layer(AdapterConfig(d=d, r=3, n=n, k=k, mode="rotmole"), seed=43)
+    xs = Rng(44).normals(8 * d).reshape(8, d)
+    xs[0] = 0.0  # A_i x = 0: the plane has no first axis
+    for i, expert in enumerate(layer.experts):
+        layer.router.q[i] = 2.0 * (expert.a @ xs[1])  # q_i parallel to A_i x: no residual
+    assert all(plane.degenerate for row in (0, 1) for plane in forward(layer, xs[row])[1].planes)
+    assert_pinning_keeps_bits(layer, xs)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_pinned_forward_matches_unpinned_on_saturated_angles(r):
+    layer = random_layer(AdapterConfig(d=16, r=r, n=4, k=2, mode="rotmole"), seed=45)
+    xs = Rng(46).normals(8 * 16).reshape(8, 16)
+    xs[:4] *= 1e4  # angle-gate logits of order 1e4: the sigmoid saturates to 0 or 1
+    thetas = [t for x in xs for t in forward(layer, x)[1].decision.theta.tolist()]
+    assert THETA_LIMIT in map(abs, thetas)
+    assert_pinning_keeps_bits(layer, xs)
+
+
+# ---------------------------------------------------------------------------
 # The expert-sorted pairs: empty, full and one-row slices, and degenerate rows
 # ---------------------------------------------------------------------------
 

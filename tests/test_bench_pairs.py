@@ -1,0 +1,74 @@
+"""The summary of `tools/bench_pairs.py`, on hand-made run records.
+
+No benchmark runs here: the script's runs take minutes.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+METRICS = [
+    {"name": "rate", "unit": "params/s", "better": "higher", "bound": 0.22},
+    {"name": "time", "unit": "s", "better": "lower", "bound": 0.25},
+]
+
+
+def run(rate, time, correct=True, failed=0):
+    return {"correct": correct, "attempted": 4, "failed": failed,
+            "metrics": {"rate": {"value": rate, "unit": "params/s"},
+                        "time": {"value": time, "unit": "s"}}}
+
+
+def test_summary_medians_quartiles_ratio_and_wins():
+    rates = [(10.0, 12.0), (11.0, 13.0), (12.0, 12.0), (13.0, 15.0), (14.0, 16.0)]
+    times = [(1.0, 0.5), (2.0, 2.5), (3.0, 3.0), (4.0, 3.5), (5.0, 4.5)]
+    pairs = [{"seed": s, "parent": run(rp, tp), "change": run(rc, tc)}
+             for s, ((rp, rc), (tp, tc)) in enumerate(zip(rates, times))]
+    out = bench_pairs.summarize(pairs, METRICS)
+    assert out["pairs"] == 5 and out["bad_runs"] == []
+    rate = out["metrics"]["rate"]
+    assert rate["parent"] == {"median": 12.0, "q1": 11.0, "q3": 13.0}
+    assert rate["change"] == {"median": 13.0, "q1": 12.0, "q3": 15.0}
+    assert rate["ratio"] == 13.0 / 12.0
+    assert rate["change_wins"] == 4 and rate["pairs"] == 5  # the tie counts for neither
+    time = out["metrics"]["time"]
+    assert time["parent"]["median"] == 3.0 and time["change"]["median"] == 3.0
+    assert time["change_wins"] == 3  # lower is better: 0.5, 3.5 and 4.5 win
+
+
+def test_summary_lists_failed_incorrect_and_missing_runs():
+    pairs = [
+        {"seed": 1, "parent": run(1.0, 1.0), "change": run(2.0, 1.0, correct=False)},
+        {"seed": 2, "parent": run(1.0, 1.0, failed=1), "change": run(2.0, 1.0)},
+        {"seed": 3, "parent": run(1.0, 1.0), "change": {"error": "exit 2: no source"}},
+    ]
+    out = bench_pairs.summarize(pairs, METRICS)
+    assert out["bad_runs"] == [
+        {"seed": 1, "side": "change", "correct": False, "failed": 0},
+        {"seed": 2, "side": "parent", "correct": True, "failed": 1},
+        {"seed": 3, "side": "change", "error": "exit 2: no source"},
+    ]
+    # The pair with no result drops out of every metric.
+    assert out["metrics"]["rate"]["pairs"] == 2
+    assert out["metrics"]["rate"]["parent"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
+
+
+def test_summary_of_one_pair():
+    out = bench_pairs.summarize([{"seed": 7, "parent": run(2.0, 1.0), "change": run(3.0, 1.0)}],
+                                METRICS)
+    assert out["metrics"]["rate"]["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
+    assert out["metrics"]["rate"]["ratio"] == 1.5
+
+
+def test_parse_seeds():
+    assert bench_pairs.parse_seeds("31-34") == [31, 32, 33, 34]
+    assert bench_pairs.parse_seeds("1,3,5-6") == [1, 3, 5, 6]
+    for bad in ("5-3", "-1", "x"):
+        with pytest.raises(ValueError):
+            bench_pairs.parse_seeds(bad)

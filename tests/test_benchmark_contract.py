@@ -4,7 +4,8 @@
 with a timing wrapper; a pair that no longer resolves breaks traced benchmark
 runs (`benchmarks/run.py --trace 1`). `benchmarks/harness.py` builds its
 held-out sets from `sample_batch`'s lists of `Sample`, trains with an empty
-eval set and keeps the `ThetaRecord`s `train` returns. These tests read
+eval set, keeps the `ThetaRecord`s `train` returns, and certifies gradients
+with `forward`, `backward` and `autograd.finite_diff_grad`. These tests read
 `benchmarks/` and change nothing there.
 """
 
@@ -49,3 +50,18 @@ def test_harness_set_up_train_and_evaluate(monkeypatch):
         per_task = rotmole.evaluate(arm.layer, arm.held_out)
         assert list(per_task) == list(range(wl.n_task))
         assert all(type(v) is float for v in per_task.values())
+
+
+def test_harness_certify_passes(monkeypatch):
+    # The benchmark's certification trial, as `run_round` makes it: every arm
+    # of the gradcheck-sweep workload (at its tiny size) certifies, and the
+    # central differences cover exactly the layer's trainable arrays.
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    harness = importlib.import_module("harness")
+    checks = importlib.import_module("checks")
+    wl = harness.WORKLOADS["gradcheck-sweep"].tiny()
+    for name, config in harness.arm_configs(rotmole, wl, 4).items():
+        trial = harness.certify(rotmole, config, rotmole.Rng(17))
+        assert checks.fd_disagreement(**trial) <= 1.0, name
+        names = list(rotmole.adapter.trainable_params(rotmole.init_adapter(config, rotmole.Rng(0))))
+        assert list(trial["analytic"]) == names and list(trial["numeric"]) == names, name
