@@ -34,8 +34,9 @@ FLOOR_SCALE_MAX = 2.0
 SIGNAL_GAIN = 6.0
 PLANE_MIX = 0.5
 
-# Most normals `sample_batch` takes from the rng in one call; splitting a
-# draw leaves the stream as is and keeps the draw's arrays small at large d.
+# Most normals `draw_batch` and the floor oracle take from the rng in one
+# call; splitting a draw leaves the stream as is and keeps the draw's arrays
+# small at large d.
 DRAW_BLOCK = 8192
 
 
@@ -205,39 +206,48 @@ def analytic_baseline_floor(specs: list[TaskSpec], cfg: DatasetConfig, n_mc: int
     steps, scoring every grid point as the Monte-Carlo average of the
     per-component squared error over n_mc fresh noisy samples. Deliberately
     brute force so it shares nothing with the trainer it certifies.
+
+    Each block of samples takes its draws in one `normals` call, the same
+    stream as a per-sample `_draw_input` and noise draw. Everything after the
+    draw stays per sample, so the floor is an oracle independent of
+    `target_outputs` and `build_planes`.
     """
     if n_mc < 10**4:
         raise ConfigError(f"analytic_baseline_floor: n_mc must be >= 1e4, got {n_mc}")
     rng = Rng(cfg.seed ^ FLOOR_RNG_SALT)
     per_task = -(-n_mc // cfg.n_task)  # ceil division keeps tasks balanced
+    free = cfg.d - cfg.n_task
+    width = free + cfg.d  # normals per sample: its free inputs, then its output noise
+    step = max(1, DRAW_BLOCK // width)
 
     # Candidate deltas decompose as cos(angle) * plain + sin(angle) * turned,
     # with plain = B* A* x and turned = B* (||A* x|| e2(x)).
     stats = []
     for spec in specs:
         acc = np.zeros(6)  # <rho,rho>, <rho,p>, <rho,t>, <p,p>, <p,t>, <t,t>
-        for _ in range(per_task):
-            x = _draw_input(cfg, spec.task_id, rng)
-            rho = (
-                target_output(spec, x)
-                + cfg.noise_std * rng.normals(cfg.d)
-                - spec.w0_star @ x
-            )
-            u = spec.a_star @ x
-            plane = build_plane(u, spec.q_star)
-            plain = spec.b_star @ u
-            if plane.degenerate:
-                turned = np.zeros(cfg.d)
-            else:
-                turned = spec.b_star @ (plane.u_norm * plane.e2)
-            acc += [
-                rho @ rho,
-                rho @ plain,
-                rho @ turned,
-                plain @ plain,
-                plain @ turned,
-                turned @ turned,
-            ]
+        for start in range(0, per_task, step):
+            m = min(step, per_task - start)
+            draws = rng.normals(m * width).reshape(m, width)
+            xs = np.zeros((m, cfg.d))
+            xs[:, :free] = draws[:, :free]
+            xs[:, free + spec.task_id] = 1.0
+            for x, noise in zip(xs, draws[:, free:]):
+                rho = target_output(spec, x) + cfg.noise_std * noise - spec.w0_star @ x
+                u = spec.a_star @ x
+                plane = build_plane(u, spec.q_star)
+                plain = spec.b_star @ u
+                if plane.degenerate:
+                    turned = np.zeros(cfg.d)
+                else:
+                    turned = spec.b_star @ (plane.u_norm * plane.e2)
+                acc += [
+                    rho @ rho,
+                    rho @ plain,
+                    rho @ turned,
+                    plain @ plain,
+                    plain @ turned,
+                    turned @ turned,
+                ]
         stats.append(acc / (per_task * cfg.d))
 
     angles = np.arange(-math.pi, math.pi, FLOOR_ANGLE_STEP)

@@ -217,6 +217,18 @@ def test_grad_check_fails_planted_bugs(mode, r):
     assert planted == len(analytic) - 2 * (config.n - config.k)
 
 
+def test_compare_gradients_holds_a_near_zero_entry_to_the_rounding_bound():
+    # An entry whose true value is zero may differ by the central
+    # difference's rounding, atol = 2 d eps max(loss, 1) / h, and no more.
+    d, loss = 8, 3.0
+    atol = 2.0 * d * np.finfo(float).eps * loss / GRADCHECK_H
+    analytic = {"w": np.array([0.5, 0.0])}
+    for off, passes in ((0.5 * atol, True), (2.0 * atol, False)):
+        numeric = {"w": np.array([0.5, off])}
+        report = compare_gradients(analytic, numeric, loss, d, GRADCHECK_H, GRADCHECK_TOL)
+        assert report.passed is passes, off
+
+
 def plane_backward_terms(layer, cache, dl_dy, pos):
     """Two terms of backward()'s plane backward for the selected expert at
     `pos`, recomputed from the cache: the anchor term resid_bar -

@@ -21,6 +21,7 @@ from rotmole.adapter import (
     forward_batch,
     init_adapter,
     mlp_variant,
+    route,
     trainable_params,
 )
 from rotmole.autograd import backward, backward_batch, randomize_layer, zero_gradients
@@ -160,6 +161,23 @@ def test_top_k_tie_matches_per_sample(mode):
     # sits just outside the top k.
     assert any(1 in d.selected and 2 not in d.selected for d in decisions)
     assert decisions[5].selected == (0, 1)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("mode", ["rotmole", "scaling_only"])
+def test_ranking_under_many_way_ties_matches_route(mode, k):
+    # One-hot rows read one row of w_g each: 16 logits from {0, 1, 2, 3},
+    # so most rows rank several many-way ties, where only a stable sort
+    # keeps route's order (lower index first).
+    d = n = 16
+    layer = random_layer(AdapterConfig(d=d, r=3, n=n, k=k, mode=mode), seed=36)
+    layer.router.w_g[...] = np.floor(4.0 * Rng(37).floats(d * n)).reshape(d, n)
+    xs = np.eye(d)
+    _, cache = forward_batch(layer, xs)
+    for x, selected in zip(xs, cache.selected.tolist()):
+        assert tuple(selected) == route(layer, x).selected
+    logits = np.sort(layer.router.w_g, axis=1)[:, ::-1]
+    assert np.any(logits[:, k - 1] == logits[:, k])  # a tie at the cut
 
 
 @pytest.mark.parametrize("mode", ["rotmole", "scaling_only", "mlp_gate"])

@@ -4,6 +4,8 @@ No benchmark runs here: the script's runs take minutes.
 """
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -19,10 +21,11 @@ METRICS = [
 ]
 
 
-def run(rate, time, correct=True, failed=0):
+def run(rate, time, correct=True, failed=0, rounds=10):
     return {"correct": correct, "attempted": 4, "failed": failed,
             "metrics": {"rate": {"value": rate, "unit": "params/s"},
-                        "time": {"value": time, "unit": "s"}}}
+                        "time": {"value": time, "unit": "s"}},
+            "rounds": rounds}
 
 
 def test_summary_medians_quartiles_ratio_and_wins():
@@ -40,6 +43,30 @@ def test_summary_medians_quartiles_ratio_and_wins():
     time = out["metrics"]["time"]
     assert time["parent"]["median"] == 3.0 and time["change"]["median"] == 3.0
     assert time["change_wins"] == 3  # lower is better: 0.5, 3.5 and 4.5 win
+    assert out["beyond_bound"] == []
+
+
+def test_summary_reports_rounds_per_side():
+    pairs = [{"seed": s, "parent": run(1.0, 1.0, rounds=rp), "change": run(1.0, 1.0, rounds=rc)}
+             for s, (rp, rc) in enumerate([(20, 40), (22, 38), (24, 39), (26, 41), (28, 37)])]
+    pairs.append({"seed": 9, "parent": run(1.0, 1.0, rounds=30), "change": {"error": "exit 1: "}})
+    out = bench_pairs.summarize(pairs, METRICS)
+    assert out["rounds"] == {
+        "parent": {"median": 25.0, "q1": 22.5, "q3": 27.5},  # the failed pair's parent counts
+        "change": {"median": 39, "q1": 38, "q3": 40},
+    }
+
+
+@pytest.mark.parametrize("rate, time, beyond", [
+    (0.79, 1.0, []),  # 21% lower: within the 22% bound
+    (0.77, 1.0, ["rate"]),  # 23% lower
+    (1.0, 1.26, ["time"]),  # 26% higher, against a 25% bound
+    (0.5, 2.0, ["rate", "time"]),
+    (2.0, 0.5, []),  # better is never beyond a bound
+])
+def test_summary_lists_metrics_beyond_their_bound(rate, time, beyond):
+    pairs = [{"seed": s, "parent": run(1.0, 1.0), "change": run(rate, time)} for s in range(3)]
+    assert bench_pairs.summarize(pairs, METRICS)["beyond_bound"] == beyond
 
 
 def test_summary_lists_failed_incorrect_and_missing_runs():
@@ -72,3 +99,21 @@ def test_parse_seeds():
     for bad in ("5-3", "-1", "x"):
         with pytest.raises(ValueError):
             bench_pairs.parse_seeds(bad)
+
+
+def test_run_side_reads_rounds_from_the_line_before_the_result(monkeypatch):
+    result = run(2.0, 1.0)
+    del result["rounds"]
+    outputs = [
+        json.dumps({"env": {}, "observed": {}, "rounds": 17}) + "\n" + json.dumps(result) + "\n",
+        "no result\n",
+    ]
+
+    def fake_run(args, **kwargs):
+        return subprocess.CompletedProcess(args, 1, outputs.pop(0), "check failed: x\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.run_side(Path("."), "small-compare", 1, 30.0) == dict(result, rounds=17)
+    assert bench_pairs.run_side(Path("."), "small-compare", 1, 30.0) == {
+        "error": "exit 1: check failed: x"
+    }

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from rotmole.numkit import ConfigError, Rng
+from rotmole.numkit import ConfigError, Rng, l2_norm
 from rotmole.rotation import (
+    DEGENERATE_EPS,
     apply_rotation,
     build_plane,
+    build_planes,
     decompose_transform,
     planar_coords,
     rotation_matrix_2d,
@@ -35,6 +37,21 @@ def test_build_plane_parallel_is_degenerate():
 def test_build_plane_zero_input_is_degenerate():
     assert build_plane(np.zeros(3), np.array([1.0, 0.0, 0.0])).degenerate
     assert build_plane(np.array([1.0, 0.0, 0.0]), np.zeros(3)).degenerate
+
+
+def test_planes_exactly_at_the_threshold_are_degenerate():
+    # A plane is degenerate when |u|, or the anchor's residual off u, is at
+    # most DEGENERATE_EPS: exactly at it included, one ulp above it not.
+    above = np.nextafter(DEGENERATE_EPS, 1.0)
+    us = np.array([[DEGENERATE_EPS, 0.0, 0.0], [1.0, 0.0, 0.0], [above, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    qs = np.array([[0.0, 1.0, 0.0], [5.0, DEGENERATE_EPS, 0.0], [0.0, 1.0, 0.0], [5.0, above, 0.0]])
+    assert l2_norm(us[0]) == DEGENERATE_EPS
+    assert l2_norm(qs[1] - (qs[1] @ us[1]) * us[1]) == DEGENERATE_EPS
+    expected = [True, True, False, False]
+    assert [build_plane(u, q).degenerate for u, q in zip(us, qs)] == expected
+    planes = build_planes(us, qs)
+    assert planes.u_norm[0] == DEGENERATE_EPS and planes.resid_norm[1] == DEGENERATE_EPS
+    assert planes.degenerate.tolist() == expected
 
 
 def test_build_plane_rejects_dim_one():

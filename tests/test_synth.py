@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rotmole import synth
 from rotmole.adapter import AdapterConfig, forward, init_adapter
 from rotmole.numkit import ConfigError, Rng
+from rotmole.rotation import build_plane
 from rotmole.synth import (
     DatasetConfig,
     analytic_baseline_floor,
@@ -179,3 +182,46 @@ def test_floor_deterministic():
         specs, cfg, 10_000
     )
 
+
+# Floors as the oracle recorded them when it drew each sample's inputs and
+# noise in two `normals` calls, as reprs, which name each double exactly.
+# Block draws take the same stream, so they must give the same bits.
+PINNED_FLOORS = [
+    (dict(r=2, noise_std=0.1, seed=41), "1532.94932780176"),
+    (dict(r=4, d=40, n_task=3, sep=2.0, noise_std=0.1, seed=43), "1375.9081074453934"),
+    (dict(n_task=1, noise_std=2.0, seed=21), "4.003722290040514"),
+    (dict(d=8, n_task=3, sep=2.0, noise_std=0.5, seed=47), "567.4181659752273"),
+]
+
+
+@pytest.mark.parametrize("kwargs, expected", PINNED_FLOORS)
+def test_floor_matches_recorded_value(kwargs, expected):
+    cfg = config(**kwargs)
+    specs = make_rotation_separable_tasks(cfg, Rng(cfg.seed))
+    assert repr(analytic_baseline_floor(specs, cfg, 10_000)) == expected
+
+
+@pytest.mark.parametrize("draw_block", [40, 1])
+def test_floor_same_for_any_draw_block(draw_block, monkeypatch):
+    # d=8, n_task=3: 13 normals per sample and 3334 samples per task. A block
+    # of 40 normals takes 3 samples and leaves a remainder block of one; a
+    # block of 1 takes one sample per call. The default takes 630 per call.
+    kwargs, expected = PINNED_FLOORS[3]
+    cfg = config(**kwargs)
+    specs = make_rotation_separable_tasks(cfg, Rng(cfg.seed))
+    monkeypatch.setattr(synth, "DRAW_BLOCK", draw_block)
+    assert repr(analytic_baseline_floor(specs, cfg, 10_000)) == expected
+
+
+def test_floor_with_every_plane_degenerate():
+    # A zero anchor has no residual off any A* x, so every plane is
+    # degenerate: the targets are unrotated, `turned` is zero, and the floor
+    # is the noise variance 0.25 up to sampling.
+    cfg = config(d=8, n_task=3, sep=2.0, noise_std=0.5, seed=47)
+    zero = np.zeros(cfg.r)
+    specs = [
+        replace(spec, q_star=zero) for spec in make_rotation_separable_tasks(cfg, Rng(cfg.seed))
+    ]
+    x = sample_batch(specs, cfg, Rng(1))[0].x
+    assert build_plane(specs[0].a_star @ x, zero).degenerate
+    assert repr(analytic_baseline_floor(specs, cfg, 10_000)) == "0.24795101527323973"

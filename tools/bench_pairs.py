@@ -4,17 +4,19 @@
 
 The change is this repository's working tree; the parent is <rev>. Both run
 from one temporary directory, removed on exit (also after an error, Ctrl-C
-or SIGTERM): the parent as `parent/`, checked out with
-`git worktree add --detach`, and the change as `change/`, a copy of the
-working tree's tracked and untracked, not ignored, files. The two paths have
-the same length. With the change run from the repository itself instead, an
+or SIGTERM): the parent as `parent/`, unpacked from `git archive`, which
+leaves the repository's git state alone, and the change as `change/`, a copy
+of the working tree's tracked and untracked, not ignored, files. The two
+paths have the same length. With the change run from the repository itself instead, an
 A/A run (the same commit on both sides) read wide-train's rotmole_r2 rate
 7.5% and its eval rate 4% apart, in every pair. For each seed both sides run
 `benchmarks/run.py --trace 0`, and the side that runs first alternates from
 seed to seed. Progress goes to stderr. The last stdout line
 is one JSON object: for each end-to-end metric of BENCHMARK.json, each
 side's median and quartiles, the ratio of the medians (change over parent)
-and the pairs the change wins (ties count for neither side); and every run
+and the pairs the change wins (ties count for neither side); each side's
+rounds as a median and quartiles; the metrics whose change median is worse
+than the parent's by more than their BENCHMARK.json bound; and every run
 that read `correct: false` or `failed > 0`, or printed no result.
 """
 
@@ -63,8 +65,10 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     is the result object `benchmarks/run.py` prints last, or {"error": ...}
     for a run that printed none. `metrics` is BENCHMARK.json's `end_to_end`
     list. A metric is summarized over the pairs in which both sides report it.
+    A metric is `beyond_bound` when the change's median is worse than the
+    parent's by more than the metric's relative `bound`.
     """
-    out = {"pairs": len(pairs), "metrics": {}, "bad_runs": []}
+    out = {"pairs": len(pairs), "metrics": {}, "rounds": {}, "beyond_bound": [], "bad_runs": []}
     for spec in metrics:
         name, lower_better = spec["name"], spec["better"] == "lower"
         both = [
@@ -81,6 +85,13 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         summary["change_wins"] = wins
         summary["pairs"] = len(both)
         out["metrics"][name] = summary
+        worse = summary["ratio"] - 1.0 if lower_better else 1.0 - summary["ratio"]
+        if worse > spec["bound"]:
+            out["beyond_bound"].append(name)
+    for side in ("parent", "change"):
+        rounds = [p[side]["rounds"] for p in pairs if "rounds" in p[side]]
+        if rounds:
+            out["rounds"][side] = spread(rounds)
     for p in pairs:
         for side in ("parent", "change"):
             run = p[side]
@@ -92,7 +103,8 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
 
 
 def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run in `checkout`: its last stdout line, parsed."""
+    """One untraced benchmark run in `checkout`: its last stdout line, parsed,
+    with the `rounds` of the line before it."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
@@ -101,21 +113,25 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     )
     lines = proc.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1])
-    except (IndexError, json.JSONDecodeError):
+        result = json.loads(lines[-1])
+        result["rounds"] = json.loads(lines[-2])["rounds"]
+        return result
+    except (IndexError, KeyError, TypeError, json.JSONDecodeError):
         tail = (proc.stderr.strip().splitlines() or [""])[-1]
         return {"error": f"exit {proc.returncode}: {tail}"}
 
 
 @contextlib.contextmanager
 def checkouts(rev: str):
-    """(parent, change): a detached worktree of `rev` and a copy of the
-    working tree, side by side in a temporary directory removed on exit."""
+    """(parent, change): the files of `rev` and a copy of the working tree,
+    side by side in a temporary directory removed on exit."""
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     parent, change = tmp / "parent", tmp / "change"
     try:
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
-                        str(parent), rev], check=True)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                                 check=True, capture_output=True).stdout
+        parent.mkdir()
+        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
         listed = subprocess.run(
             ["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
             check=True, capture_output=True, text=True,
@@ -126,10 +142,7 @@ def checkouts(rev: str):
                 shutil.copy2(ROOT / name, change / name)
         yield parent, change
     finally:
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(parent)],
-                       stderr=subprocess.DEVNULL)
         shutil.rmtree(tmp, ignore_errors=True)
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"])
 
 
 def main(argv=None) -> int:
@@ -144,7 +157,7 @@ def main(argv=None) -> int:
     except ValueError as e:
         parser.error(f"--seeds: {e}")
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    # SIGTERM unwinds like Ctrl-C, so the worktree is removed either way.
+    # SIGTERM unwinds like Ctrl-C, so the checkouts are removed either way.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     pairs = []
     try:
