@@ -34,9 +34,11 @@ from .numkit import (
     ShapeError,
     Vector,
     from_doc,
+    from_json,
     is_finite_number,
     kaiming_uniform,
     matvec,
+    read_json,
     row_softmax,
     rowwise_matvec,
     rowwise_vecmat,
@@ -193,25 +195,33 @@ def mlp_variant(config: AdapterConfig) -> AdapterConfig:
     return replace(config, mode="mlp_gate", mlp_hidden=mlp_hidden_dim(config))
 
 
+def draw_param(name: str, shape: tuple[int, int], rng: Rng) -> Matrix:
+    """Kaiming-uniform draw of the `trainable_params` array `name`. The router
+    maps are drawn as (out, in), for their fan-in, and stored transposed."""
+    if name in ("w_g", "w_theta", "mlp_w1", "mlp_w2"):
+        return np.ascontiguousarray(kaiming_uniform(shape[1], shape[0], rng).T)
+    return kaiming_uniform(shape[0], shape[1], rng)
+
+
 def init_adapter(config: AdapterConfig, rng: Rng) -> AdapterLayer:
     """Fresh layer: B and the rotation gate start at zero so the adapter delta
     and all angles are exactly zero; everything else is Kaiming-uniform."""
     d, r, n = config.d, config.r, config.n
     w0 = kaiming_uniform(d, d, rng)
     experts = [
-        LoraExpert(a=kaiming_uniform(r, d, rng), b=np.zeros((d, r))) for _ in range(n)
+        LoraExpert(a=draw_param(f"a{i}", (r, d), rng), b=np.zeros((d, r))) for i in range(n)
     ]
     router = RouterParams()
     if config.mode == "mlp_gate":
         h = config.mlp_hidden
-        router.mlp_w1 = np.ascontiguousarray(kaiming_uniform(h, d, rng).T)
-        router.mlp_w2 = np.ascontiguousarray(kaiming_uniform(n, h, rng).T)
+        router.mlp_w1 = draw_param("mlp_w1", (d, h), rng)
+        router.mlp_w2 = draw_param("mlp_w2", (h, n), rng)
     else:
-        router.w_g = np.ascontiguousarray(kaiming_uniform(n, d, rng).T)
+        router.w_g = draw_param("w_g", (d, n), rng)
         if config.mode == "rotmole":
             router.w_theta = np.zeros((d, n))
             if r > 2:
-                router.q = kaiming_uniform(n, r, rng)
+                router.q = draw_param("q", (n, r), rng)
     return AdapterLayer(config, w0, experts, router)
 
 
@@ -442,6 +452,8 @@ def _decode_matrix(obj, like: np.ndarray | None, where: str) -> np.ndarray | Non
             raise ConfigError(f"layer field '{where}' must be null for this config")
         return None
     rows, cols, data = _members(obj, ("rows", "cols", "data"), where)
+    rows = from_json(int, rows, f"layer field '{where}.rows'")
+    cols = from_json(int, cols, f"layer field '{where}.cols'")
     if not isinstance(data, list) or not all(map(is_finite_number, data)):
         raise ConfigError(f"layer field '{where}.data' must be a list of finite numbers")
     if (rows, cols) != like.shape or len(data) != like.size:
@@ -490,12 +502,4 @@ def save_layer(layer: AdapterLayer, path) -> None:
 
 
 def load_layer(path) -> AdapterLayer:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as e:
-        raise ConfigError(f"cannot read layer {path}: {e}")
-    except UnicodeDecodeError as e:
-        raise ConfigError(f"layer {path} is not valid UTF-8: {e}")
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"layer {path} is not valid JSON: {e}")
-    return layer_from_doc(doc)
+    return layer_from_doc(read_json(path, "layer"))

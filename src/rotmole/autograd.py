@@ -37,6 +37,7 @@ from .adapter import (
     BatchCache,
     ExpertRows,
     ForwardCache,
+    draw_param,
     forward,
     init_adapter,
     trainable_params,
@@ -46,7 +47,6 @@ from .numkit import (
     Matrix,
     Rng,
     Vector,
-    kaiming_uniform,
     rowwise_dot,
     rowwise_matvec,
     sigmoid,
@@ -223,8 +223,6 @@ def _plane_backward(
     theta_bar = np.zeros(rot_bar.shape[0])
     q_bar = np.zeros(rot_bar.shape)
     live = ~pairs.planes.degenerate
-    if not live.any():
-        return u_bar, theta_bar, q_bar
     planes = pairs.planes
     e1, e2 = planes.e1[live], planes.e2[live]
     norm_u, proj = planes.u_norm[live, None], planes.q_dot_e1[live, None]
@@ -327,8 +325,7 @@ def grad_check(
         return float((diff * diff).sum() / d)
 
     numeric = finite_diff_grad(loss_fn, layer, h)
-    loss = float(np.mean((y - target) ** 2))
-    return compare_gradients(analytic, numeric, loss, d, h, tol)
+    return compare_gradients(analytic, numeric, loss_fn(layer), d, h, tol)
 
 
 def compare_gradients(
@@ -360,25 +357,14 @@ def compare_gradients(
 
 
 def randomize_layer(layer: AdapterLayer, rng: Rng) -> None:
-    """Overwrite every trainable array with Kaiming-uniform draws.
+    """Overwrite every trainable array, in `trainable_params` order, with its
+    Kaiming-uniform draw (`adapter.draw_param`).
 
     At the standard initialization B and the rotation gate are zero, which
     zeroes out most gradients; checks need a generic point.
     """
-    config = layer.config
-    for expert in layer.experts:
-        expert.a[...] = kaiming_uniform(config.r, config.d, rng)
-        expert.b[...] = kaiming_uniform(config.d, config.r, rng)
-    router = layer.router
-    if router.w_g is not None:
-        router.w_g[...] = kaiming_uniform(config.n, config.d, rng).T
-    if router.w_theta is not None:
-        router.w_theta[...] = kaiming_uniform(config.n, config.d, rng).T
-    if router.q is not None:
-        router.q[...] = kaiming_uniform(config.n, config.r, rng)
-    if router.mlp_w1 is not None:
-        router.mlp_w1[...] = kaiming_uniform(config.mlp_hidden, config.d, rng).T
-        router.mlp_w2[...] = kaiming_uniform(config.n, config.mlp_hidden, rng).T
+    for name, arr in trainable_params(layer).items():
+        arr[...] = draw_param(name, arr.shape, rng)
 
 
 def gradcheck_trials(

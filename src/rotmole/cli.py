@@ -22,13 +22,12 @@ from .adapter import (
     AdapterLayer,
     count_trainable_routing_params,
     init_adapter,
-    mlp_hidden_dim,
     mlp_variant,
     save_layer,
 )
 from .analysis import separation, summarize, write_summary_csv
 from .autograd import GRADCHECK_H, GRADCHECK_TOL, gradcheck_trials
-from .numkit import ConfigError, Rng, from_doc
+from .numkit import ConfigError, Rng, from_doc, read_json
 from .synth import (
     DatasetConfig,
     Sample,
@@ -87,15 +86,7 @@ class ExperimentResult:
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}")
-    except UnicodeDecodeError as e:
-        raise ConfigError(f"config {path} is not valid UTF-8: {e}")
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config {path} is not valid JSON: {e}")
-    return from_doc(ExperimentConfig, doc)
+    return from_doc(ExperimentConfig, read_json(path, "config"))
 
 
 def _mode_config(adapter: AdapterConfig, mode: str | None) -> AdapterConfig:
@@ -144,9 +135,18 @@ def _write_jsonl(path: Path, header: dict, records) -> None:
             f.write(json.dumps(rec) + "\n")
 
 
-def cmd_train(config: ExperimentConfig) -> int:
-    result = run_experiment(config)
+def _output_dir(config: ExperimentConfig) -> Path:
+    """config.output_dir, whose nearest existing path must be a directory."""
     out = Path(config.output_dir)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output_dir {config.output_dir}: {existing} is not a directory")
+    return out
+
+
+def cmd_train(config: ExperimentConfig) -> int:
+    out = _output_dir(config)
+    result = run_experiment(config)
     out.mkdir(parents=True, exist_ok=True)
     header = _seed_header(config)
     _write_jsonl(out / "metrics.jsonl", header, map(asdict, result.metrics))
@@ -158,13 +158,14 @@ def cmd_train(config: ExperimentConfig) -> int:
 
 
 def cmd_compare(config: ExperimentConfig) -> int:
+    out = _output_dir(config)
     data_rng = Rng(config.dataset.seed)
     specs = make_rotation_separable_tasks(config.dataset, data_rng)
     floor = analytic_baseline_floor(specs, config.dataset, FLOOR_MC_SAMPLES)
     modes_doc = {}
     for mode in ("scaling_only", "mlp_gate", "rotmole"):
         result = run_experiment(config, mode=mode)
-        mode_cfg = _mode_config(config.adapter, mode)
+        mode_cfg = result.layer.config
         entry = {
             "routing_params": count_trainable_routing_params(mode_cfg),
             "final_per_task_mse": result.final_per_task_mse,
@@ -176,7 +177,6 @@ def cmd_compare(config: ExperimentConfig) -> int:
         print(f"{mode}: mean mse {result.final_mean_mse:.6g}, "
               f"routing params {entry['routing_params']}")
     print(f"scaling-only floor (oracle): {floor:.6g}")
-    out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     doc = dict(_seed_header(config))
     doc.pop("type")
@@ -213,25 +213,13 @@ def cmd_paramcount(config: ExperimentConfig) -> int:
     print(f"d={adapter.d} r={adapter.r} n={adapter.n}")
     print(f"scaling_only routing params: {scaling}")
     print(f"rotmole routing params: {rot} (extra over scaling_only: {rot - scaling})")
-    print(f"mlp_gate routing params: {mlp} (hidden dim: {mlp_hidden_dim(adapter)})")
+    print(f"mlp_gate routing params: {mlp} (hidden dim: {mlp_cfg.mlp_hidden})")
     return 0
 
 
 def _load_theta_records(path: Path) -> list[ThetaRecord]:
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as e:
-        raise ConfigError(f"cannot read {path}: {e}")
-    except UnicodeDecodeError as e:
-        raise ConfigError(f"{path} is not valid UTF-8: {e}")
     records = []
-    for ln, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}:{ln}: invalid JSON: {e}")
+    for ln, doc in read_json(path, lines=True):
         if isinstance(doc, dict) and doc.get("type") == "header":
             continue
         try:
@@ -302,13 +290,12 @@ def main(argv=None) -> int:
             return cmd_compare(load_experiment_config(args.config))
         if args.command == "paramcount":
             return cmd_paramcount(load_experiment_config(args.config))
-        if args.command == "analyze":
-            try:
-                snapshots = [int(s) for s in args.snapshots.split(",") if s.strip()]
-            except ValueError:
-                raise ConfigError(f"--snapshots must be comma-separated integers, got {args.snapshots!r}")
-            return cmd_analyze(args.thetas, snapshots, args.bins)
-        raise ConfigError(f"unknown command {args.command!r}")
+        # argparse admits no other command
+        try:
+            snapshots = [int(s) for s in args.snapshots.split(",") if s.strip()]
+        except ValueError:
+            raise ConfigError(f"--snapshots must be comma-separated integers, got {args.snapshots!r}")
+        return cmd_analyze(args.thetas, snapshots, args.bins)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

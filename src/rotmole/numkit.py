@@ -12,6 +12,7 @@ import json
 import math
 import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 
@@ -51,7 +52,7 @@ def from_doc(cls, doc, where: str = ""):
     values = {}
     for name, f in fields.items():
         if name in doc:
-            values[name] = _from_json(hints[name], doc[name], prefix + name)
+            values[name] = from_json(hints[name], doc[name], prefix + name)
         elif f.default is dataclasses.MISSING:
             raise ConfigError(f"missing field '{prefix}{name}'")
     try:
@@ -70,9 +71,9 @@ def is_finite_number(value) -> bool:
     )
 
 
-def _from_json(tp, value, name: str):
+def from_json(tp, value, name: str):
     """`value` checked against the field type `tp` (int, float, str, a config
-    dataclass, or one of these or None)."""
+    dataclass, or one of these or None); `name` is the field's dotted name."""
     if dataclasses.is_dataclass(tp):
         return from_doc(tp, value, name)
     options = typing.get_args(tp) or (tp,)
@@ -91,6 +92,32 @@ def _from_json(tp, value, name: str):
         expected = _KINDS[kind] + (" or null" if type(None) in options else "")
         raise ConfigError(f"{name} must be {expected}, got {json.dumps(value)}")
     return value
+
+
+def read_json(path, kind: str = "", *, lines: bool = False):
+    """The JSON document in the UTF-8 file `path`; with `lines`, the (line
+    number, document) of each non-blank line. A file that cannot be read, is
+    not UTF-8 or not JSON raises a one-line ConfigError naming "<kind> <path>"."""
+    name = f"{kind} {path}" if kind else str(path)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise ConfigError(f"cannot read {name}: {e}")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{name} is not valid UTF-8: {e}")
+    if not lines:
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{name} is not valid JSON: {e}")
+    docs = []
+    for ln, line in enumerate(text.splitlines(), 1):
+        if line.strip():
+            try:
+                docs.append((ln, json.loads(line)))
+            except json.JSONDecodeError as e:
+                raise ConfigError(f"{name}:{ln}: invalid JSON: {e}")
+    return docs
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +158,6 @@ class Rng:
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.next_float()
 
-    def normal(self) -> float:
-        """Standard normal via Box-Muller; consumes two uniform draws."""
-        return float(self.normals(1)[0])
-
     def floats(self, count: int) -> Vector:
         """Vector of uniforms in [0, 1); bit-identical to `count` next_float calls."""
         # In-place steps keep large draws to two arrays at a time.
@@ -155,7 +178,7 @@ class Rng:
         return lo + (hi - lo) * self.floats(count)
 
     def normals(self, count: int) -> Vector:
-        """Vector of standard normals; bit-identical to `count` normal() calls.
+        """Vector of standard normals by Box-Muller.
 
         Each value consumes two consecutive uniforms, so normals(a) followed
         by normals(b) draws exactly normals(a + b).

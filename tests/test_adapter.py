@@ -325,6 +325,18 @@ def test_layer_file_wrong_shape_rejected():
         layer_from_doc(doc)
 
 
+def test_layer_file_sizes_take_whole_numbers_only():
+    # An n = 1 layer has an 8x1 w_g and a 1x3 q, and true == 1 in Python.
+    layer = init_adapter(AdapterConfig(d=8, r=3, n=1, k=1), Rng(78))
+    for name, key in (("w_g", "cols"), ("q", "rows")):
+        doc = json.loads(json.dumps(layer_to_doc(layer)))
+        doc["router"][name][key] = True
+        with pytest.raises(ConfigError, match=rf"'router\.{name}\.{key}' must be a whole number, got true"):
+            layer_from_doc(doc)
+        doc["router"][name][key] = 1.0  # a whole float is taken as an int, as in configs
+        assert np.array_equal(getattr(layer_from_doc(doc).router, name), getattr(layer.router, name))
+
+
 def test_layer_file_array_foreign_to_mode_rejected():
     doc = _layer_doc("scaling_only")
     doc["router"]["w_theta"] = _layer_doc("rotmole")["router"]["w_theta"]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rotmole import autograd
 from rotmole.adapter import (
     AdapterConfig,
     forward,
@@ -460,3 +461,30 @@ def test_near_degenerate_matches_gram_schmidt_oracle():
     assert pairs == 6000
     assert 2000 < near < 5000
     assert in_band > 1000
+
+
+def test_gradcheck_trials_resample_inputs_until_off_the_degenerate_set(monkeypatch):
+    # The first two inputs count as near-degenerate: the trial must check
+    # the third, and draw its target after it.
+    config = AdapterConfig(d=6, r=3, n=2, k=1)
+    screened, checked = [], []
+
+    def near(layer, x):
+        screened.append(x)
+        return len(screened) <= 2
+
+    def check(layer, x, target, **kwargs):
+        checked.append((x, target))
+        return grad_check(layer, x, target, **kwargs)
+
+    monkeypatch.setattr(autograd, "near_degenerate", near)
+    monkeypatch.setattr(autograd, "grad_check", check)
+    (report,) = gradcheck_trials(config, 1, seed=5)
+    rng = Rng(5)
+    layer = init_adapter(config, rng)
+    randomize_layer(layer, rng)
+    draws = [rng.normals(6) for _ in range(4)]
+    assert len(screened) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(screened, draws))
+    assert np.array_equal(checked[0][0], draws[2]) and np.array_equal(checked[0][1], draws[3])
+    assert report == grad_check(layer, draws[2], draws[3])

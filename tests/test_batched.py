@@ -8,6 +8,7 @@ records on their reprs (a float's repr names its double exactly), because
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -130,6 +131,22 @@ def test_degenerate_plane_rows_match_per_sample(n, k):
         _, cache = forward(layer, xs[row])
         assert all(plane.degenerate for plane in cache.planes)
     assert decisions[1].theta.any()  # the angle is live, only the plane is not
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (4, 2)])
+def test_all_degenerate_batch_matches_per_sample(n, k):
+    # Zero anchors leave no residual, so every pair's plane is degenerate
+    # and the batched plane backward runs over zero live pairs.
+    layer = random_layer(AdapterConfig(d=16, r=3, n=n, k=k, mode="rotmole"), seed=23)
+    layer.router.q[...] = 0.0
+    rng = Rng(24)
+    xs = rng.normals(16 * 16).reshape(16, 16)
+    dl_dy = rng.normals(16 * 16).reshape(16, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        decisions, cache = assert_batch_matches_oracle(layer, xs, dl_dy)
+    assert cache.pairs.planes.degenerate.all()
+    assert any(d.theta.any() for d in decisions)  # the angles are live, only the planes are not
 
 
 @pytest.mark.parametrize("r", [2, 3])

@@ -3,6 +3,7 @@
 No benchmark runs here: the script's runs take minutes.
 """
 
+import contextlib
 import importlib.util
 import json
 import subprocess
@@ -117,3 +118,33 @@ def test_run_side_reads_rounds_from_the_line_before_the_result(monkeypatch):
     assert bench_pairs.run_side(Path("."), "small-compare", 1, 30.0) == {
         "error": "exit 1: check failed: x"
     }
+
+
+@pytest.mark.parametrize("change, code", [
+    (run(1.0, 1.0), 0),
+    (run(0.5, 1.0), 1),  # a metric beyond its bound
+    (run(1.0, 1.0, correct=False), 1),
+    (run(1.0, 1.0, failed=1), 1),
+    ({"error": "exit 1: check failed: x"}, 1),
+], ids=["clean", "beyond-bound", "incorrect", "failed", "no-result"])
+def test_main_exits_1_on_a_bad_run_or_a_metric_beyond_its_bound(
+    tmp_path, monkeypatch, capsys, change, code
+):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+
+    @contextlib.contextmanager
+    def checkouts(rev):
+        yield Path("parent"), Path("change")
+
+    def run_side(checkout, workload, seed, seconds):
+        return dict(change if checkout.name == "change" else run(1.0, 1.0))
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "checkouts", checkouts)
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    monkeypatch.setattr(bench_pairs.signal, "signal", lambda *args: None)
+    argv = ["--parent", "HEAD", "--workload", "small-compare", "--seeds", "1-2", "--seconds", "1"]
+    assert bench_pairs.main(argv) == code
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert summary["pairs"] == 2
+    assert bool(summary["bad_runs"] or summary["beyond_bound"]) == (code == 1)

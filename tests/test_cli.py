@@ -87,6 +87,15 @@ def test_load_config_cross_field_validation(tmp_path):
         load_experiment_config(path)
 
 
+def test_whole_float_is_taken_as_int(tmp_path):
+    path = write_config(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["train"]["steps"] = 3.0
+    path.write_text(json.dumps(doc))
+    steps = load_experiment_config(path).train.steps
+    assert steps == 3 and type(steps) is int
+
+
 def test_probe_expert_bounds(tmp_path):
     path = write_config(tmp_path, probe=5)
     with pytest.raises(ConfigError, match="probe_expert"):
@@ -145,6 +154,21 @@ def test_readme_example_config_loads(tmp_path):
     config = load_experiment_config(path)
     assert config.adapter.mode == "rotmole"
     assert config.train.steps == 3000
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["is-a-file", "under-a-file"])
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_output_dir_not_a_directory_exit_2_before_any_work(tmp_path, capsys, command, below):
+    blocker = tmp_path / "out"
+    blocker.write_text("a file\n")
+    path = write_config(tmp_path, extra={"output_dir": str(blocker / below)})
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: output_dir "), err
+    assert captured.out == ""  # nothing trained
+    assert sorted(tmp_path.rglob("*")) == before and blocker.read_text() == "a file\n"
 
 
 def test_train_writes_artifacts(tmp_path):
@@ -208,6 +232,17 @@ def test_paramcount_output(tmp_path, capsys):
     assert "hidden dim: 7" in out
 
 
+def test_paramcount_prints_the_hidden_width_it_counts(tmp_path, capsys):
+    # An mlp_gate config counts its own mlp_hidden, 16 * 3 + 3 * 2 = 54, not
+    # the width matched to rotmole's count (4 here).
+    path = write_config(tmp_path, d=16, r=3, n=2, k=1, mode="mlp_gate")
+    doc = json.loads(path.read_text())
+    doc["adapter"]["mlp_hidden"] = 3
+    path.write_text(json.dumps(doc))
+    assert main(["paramcount", "--config", str(path)]) == 0
+    assert "mlp_gate routing params: 54 (hidden dim: 3)" in capsys.readouterr().out
+
+
 def test_analyze_roundtrip(tmp_path, capsys):
     path = write_config(tmp_path, steps=5)
     assert main(["train", "--config", str(path)]) == 0
@@ -222,6 +257,19 @@ def test_analyze_roundtrip(tmp_path, capsys):
     for row in rows:
         if row[0] == "0":
             assert row[3] == "0" and row[4] == "0"
+
+
+def test_analyze_skips_blank_lines(tmp_path, capsys):
+    records = [json.dumps({"step": 0, "task_id": t, "expert_index": 0, "theta": theta})
+               for t, theta in ((0, 0.5), (1, -0.5), (0, 0.25))]
+    thetas = tmp_path / "thetas.jsonl"
+    summaries = []
+    for text in ("\n".join(records) + "\n", "\n" + "\n\n".join(records) + "\n  \n"):
+        thetas.write_text(text)
+        assert main(["analyze", "--thetas", str(thetas), "--snapshots", "0", "--bins", "4"]) == 0
+        summaries.append((tmp_path / "summary.csv").read_bytes())
+    assert summaries[0] == summaries[1]
+    assert "step 0: separation" in capsys.readouterr().out
 
 
 def test_analyze_missing_file_exit_2(tmp_path, capsys):

@@ -17,7 +17,9 @@ side's median and quartiles, the ratio of the medians (change over parent)
 and the pairs the change wins (ties count for neither side); each side's
 rounds as a median and quartiles; the metrics whose change median is worse
 than the parent's by more than their BENCHMARK.json bound; and every run
-that read `correct: false` or `failed > 0`, or printed no result.
+that read `correct: false` or `failed > 0`, or printed no result. The exit
+code is 1 when either of those two lists is non-empty, so a script that runs
+the pairs stops there.
 """
 
 from __future__ import annotations
@@ -173,8 +175,9 @@ def main(argv=None) -> int:
     except subprocess.CalledProcessError as e:
         print(f"error: {' '.join(e.cmd)} exited {e.returncode}", file=sys.stderr)
         return 2
-    print(json.dumps(summarize(pairs, metrics)))
-    return 0
+    summary = summarize(pairs, metrics)
+    print(json.dumps(summary))
+    return 1 if summary["bad_runs"] or summary["beyond_bound"] else 0
 
 
 if __name__ == "__main__":
