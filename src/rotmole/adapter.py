@@ -20,10 +20,8 @@ over all pairs.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -495,10 +493,6 @@ def layer_from_doc(doc) -> AdapterLayer:
         like = getattr(layer.router, name)
         setattr(layer.router, name, _decode_matrix(obj, like, f"router.{name}"))
     return layer
-
-
-def save_layer(layer: AdapterLayer, path) -> None:
-    Path(path).write_text(json.dumps(layer_to_doc(layer)) + "\n")
 
 
 def load_layer(path) -> AdapterLayer:

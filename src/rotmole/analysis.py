@@ -62,15 +62,12 @@ def summarize(
     return summaries
 
 
-def separation(records: list[ThetaRecord], step: int) -> float:
+def separation(summaries: list[ThetaSummary], step: int) -> float:
     """Smallest gap between per-task mean angles at one snapshot step."""
-    by_task: dict[int, list[float]] = {}
-    for r in records:
-        if r.step == step:
-            by_task.setdefault(r.task_id, []).append(r.theta)
+    by_task = {s.task_id: s.mean for s in summaries if s.step == step}
     if len(by_task) < 2:
         raise ValueError(f"separation: need >= 2 tasks at step {step}, got {len(by_task)}")
-    means = [float(np.mean(v)) for v in by_task.values()]
+    means = list(by_task.values())
     return min(
         abs(means[i] - means[j])
         for i in range(len(means))
@@ -78,15 +75,14 @@ def separation(records: list[ThetaRecord], step: int) -> float:
     )
 
 
-def write_summary_csv(summaries: list[ThetaSummary], path) -> None:
+def summary_csv(summaries: list[ThetaSummary]) -> str:
     """CSV rows: step,task_id,count,mean,std,bin_0,...,bin_{n-1} (9 significant digits)."""
     if not summaries:
-        raise ValueError("write_summary_csv: no summaries to write")
+        raise ValueError("summary_csv: no summaries to write")
     n_bins = len(summaries[0].histogram)
     header = "step,task_id,count,mean,std," + ",".join(f"bin_{i}" for i in range(n_bins))
     lines = [header]
     for s in summaries:
         bins = ",".join(str(c) for c in s.histogram)
         lines.append(f"{s.step},{s.task_id},{s.count},{s.mean:.9g},{s.std:.9g},{bins}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"

@@ -22,10 +22,10 @@ from .adapter import (
     AdapterLayer,
     count_trainable_routing_params,
     init_adapter,
+    layer_to_doc,
     mlp_variant,
-    save_layer,
 )
-from .analysis import separation, summarize, write_summary_csv
+from .analysis import separation, summarize, summary_csv
 from .autograd import GRADCHECK_H, GRADCHECK_TOL, gradcheck_trials
 from .numkit import ConfigError, Rng, from_doc, read_json
 from .synth import (
@@ -128,40 +128,51 @@ def _seed_header(config: ExperimentConfig) -> dict:
     }
 
 
-def _write_jsonl(path: Path, header: dict, records) -> None:
-    with open(path, "w") as f:
-        f.write(json.dumps(header) + "\n")
-        for rec in records:
-            f.write(json.dumps(rec) + "\n")
+def _jsonl(header: dict, records) -> str:
+    return "".join(json.dumps(doc) + "\n" for doc in (header, *map(asdict, records)))
 
 
-def _output_dir(config: ExperimentConfig) -> Path:
-    """config.output_dir, whose nearest existing path must be a directory."""
-    out = Path(config.output_dir)
+def _artifacts(directory, *names: str) -> list[Path]:
+    """The paths of a command's artifacts, checked before any work: the
+    nearest existing part of `directory` must be a directory, and no artifact
+    path may be an existing directory."""
+    out = Path(directory)
     existing = next(p for p in (out, *out.parents) if p.exists())
     if not existing.is_dir():
-        raise ConfigError(f"output_dir {config.output_dir}: {existing} is not a directory")
-    return out
+        raise ConfigError(f"output_dir {directory}: {existing} is not a directory")
+    paths = [out / name for name in names]
+    for path in paths:
+        if path.is_dir():
+            raise ConfigError(f"{path} is a directory, not a file")
+    return paths
+
+
+def _write(files: dict[Path, str]) -> None:
+    """Write each artifact's text, creating its directory first. The one
+    place the package writes files."""
+    for path, text in files.items():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
 
 
 def cmd_train(config: ExperimentConfig) -> int:
-    out = _output_dir(config)
+    metrics, thetas, layer = _artifacts(
+        config.output_dir, "metrics.jsonl", "thetas.jsonl", "layer.json"
+    )
     result = run_experiment(config)
-    out.mkdir(parents=True, exist_ok=True)
     header = _seed_header(config)
-    _write_jsonl(out / "metrics.jsonl", header, map(asdict, result.metrics))
-    _write_jsonl(out / "thetas.jsonl", header, map(asdict, result.thetas))
-    save_layer(result.layer, out / "layer.json")
+    _write({
+        metrics: _jsonl(header, result.metrics),
+        thetas: _jsonl(header, result.thetas),
+        layer: json.dumps(layer_to_doc(result.layer)) + "\n",
+    })
     for task, mse in result.final_per_task_mse.items():
         print(f"task {task}: final mse {mse:.6g}")
     return 0
 
 
 def cmd_compare(config: ExperimentConfig) -> int:
-    out = _output_dir(config)
-    data_rng = Rng(config.dataset.seed)
-    specs = make_rotation_separable_tasks(config.dataset, data_rng)
-    floor = analytic_baseline_floor(specs, config.dataset, FLOOR_MC_SAMPLES)
+    (out,) = _artifacts(config.output_dir, "compare.json")
     modes_doc = {}
     for mode in ("scaling_only", "mlp_gate", "rotmole"):
         result = run_experiment(config, mode=mode)
@@ -176,13 +187,14 @@ def cmd_compare(config: ExperimentConfig) -> int:
         modes_doc[mode] = entry
         print(f"{mode}: mean mse {result.final_mean_mse:.6g}, "
               f"routing params {entry['routing_params']}")
+    # Every run builds the same tasks from dataset.seed.
+    floor = analytic_baseline_floor(result.specs, config.dataset, FLOOR_MC_SAMPLES)
     print(f"scaling-only floor (oracle): {floor:.6g}")
-    out.mkdir(parents=True, exist_ok=True)
     doc = dict(_seed_header(config))
     doc.pop("type")
     doc["floor"] = floor
     doc["modes"] = modes_doc
-    (out / "compare.json").write_text(json.dumps(doc, indent=2) + "\n")
+    _write({out: json.dumps(doc, indent=2) + "\n"})
     return 0
 
 
@@ -240,13 +252,13 @@ def cmd_analyze(thetas_path: str, snapshots: list[int], bins: int) -> int:
             f"--snapshots {','.join(map(str, snapshots))} names no logged step; "
             f"{path} logs {len(logged)} steps from {logged[0]} to {logged[-1]}"
         )
+    (out,) = _artifacts(path.parent, "summary.csv")
     summaries = summarize(records, snapshots, bins)
-    out = path.parent / "summary.csv"
-    write_summary_csv(summaries, out)
+    _write({out: summary_csv(summaries)})
     for step in snapshots:
-        tasks = {r.task_id for r in records if r.step == step}
+        tasks = {s.task_id for s in summaries if s.step == step}
         if len(tasks) >= 2:
-            print(f"step {step}: separation {separation(records, step):.6g}")
+            print(f"step {step}: separation {separation(summaries, step):.6g}")
     print(f"wrote {out}")
     return 0
 

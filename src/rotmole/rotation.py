@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -40,11 +39,6 @@ class RotationPlane:
     u_norm: float = 0.0
     q_dot_e1: float = 0.0
     resid_norm: float = 0.0
-
-
-class PlanarCoords(NamedTuple):
-    c1: float
-    c2: float
 
 
 # A plane whose |u| or anchor residual is at most this is degenerate. Fixed:
@@ -129,11 +123,6 @@ def rotation_matrices_2d(cos: Vector, sin: Vector) -> np.ndarray:
     return mats
 
 
-def planar_coords(v: Vector, plane: RotationPlane) -> PlanarCoords:
-    """Components of v along (e1, e2)."""
-    return PlanarCoords(float(v @ plane.e1), float(v @ plane.e2))
-
-
 def rotation_matrix_2d(theta: float) -> Matrix:
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
@@ -194,14 +183,12 @@ def decompose_transform(u: Vector, v: Vector) -> tuple[float, float, RotationPla
         e2 = _orthogonal_unit(e1)
         half_turn = RotationPlane(e1, e2, False, u_norm=nu, q_dot_e1=float(v @ e1))
         return nv / nu, math.pi, half_turn
-    u_p = planar_coords(u, plane)
-    v_p = planar_coords(v, plane)
-    theta_u = math.atan2(u_p.c2, u_p.c1)
-    theta_v = math.atan2(v_p.c2, v_p.c1)
-    angle = theta_v - theta_u
+    u1, u2 = float(u @ plane.e1), float(u @ plane.e2)
+    v1, v2 = float(v @ plane.e1), float(v @ plane.e2)
+    angle = math.atan2(v2, v1) - math.atan2(u2, u1)
     if angle <= -math.pi:
         angle += 2.0 * math.pi
     elif angle > math.pi:
         angle -= 2.0 * math.pi
-    scale = math.hypot(v_p.c1, v_p.c2) / math.hypot(u_p.c1, u_p.c2)
+    scale = math.hypot(v1, v2) / math.hypot(u1, u2)
     return scale, angle, plane

@@ -16,7 +16,6 @@ from rotmole.adapter import (
     mlp_variant,
     route,
     routing_param_count,
-    save_layer,
     trainable_params,
 )
 from rotmole.numkit import ConfigError, Rng, ShapeError
@@ -284,7 +283,7 @@ def test_serialization_round_trip():
 def test_serialization_file_round_trip(tmp_path):
     layer = init_adapter(small_config(), Rng(123))
     path = tmp_path / "layer.json"
-    save_layer(layer, path)
+    path.write_text(json.dumps(layer_to_doc(layer)) + "\n")  # as `rotmole train` writes it
     back = load_layer(path)
     assert np.array_equal(back.w0, layer.w0)
     y1, _ = forward(layer, Rng(9).normals(8))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rotmole.analysis import ThetaSummary, separation, summarize, write_summary_csv
+from rotmole.analysis import ThetaSummary, separation, summarize, summary_csv
 from rotmole.numkit import ConfigError, Rng
 from rotmole.trainer import ThetaRecord
 
@@ -81,35 +81,57 @@ def test_mean_std_match_two_pass_computation():
 
 def test_separation_cases():
     same = records_from(0, 0, [0.3]) + records_from(0, 1, [0.3])
-    assert separation(same, 0) == 0.0
+    assert separation(summarize(same, [0], n_bins=4), 0) == 0.0
     three = (
         records_from(0, 0, [-1.0])
         + records_from(0, 1, [0.0])
         + records_from(0, 2, [2.0])
     )
-    assert separation(three, 0) == 1.0
+    assert separation(summarize(three, [0], n_bins=4), 0) == 1.0
 
 
 def test_separation_requires_two_tasks():
     with pytest.raises(ValueError):
-        separation(records_from(0, 0, [0.1, 0.2]), 0)
+        separation(summarize(records_from(0, 0, [0.1, 0.2]), [0], n_bins=4), 0)
 
 
-def test_csv_format(tmp_path):
+def test_separation_of_summaries_matches_regrouped_records_bit_for_bit():
+    # The per-task means of the records, regrouped in log order, as
+    # separation computed them before it took summaries.
+    rng = Rng(17)
+    for _ in range(50):
+        n_records = 2 + int(rng.uniforms(1, 0.0, 60.0)[0])
+        thetas = rng.uniforms(n_records, -math.pi, math.pi)
+        tasks = rng.uniforms(n_records, 0.0, 4.0).astype(int)
+        steps = rng.uniforms(n_records, 0.0, 2.0).astype(int)
+        records = [ThetaRecord(int(s), int(t), 0, float(x))
+                   for s, t, x in zip(steps, tasks, thetas)]
+        summaries = summarize(records, [0, 1], n_bins=6)
+        for step in (0, 1):
+            by_task = {}
+            for r in records:
+                if r.step == step:
+                    by_task.setdefault(r.task_id, []).append(r.theta)
+            if len(by_task) < 2:
+                continue
+            means = [float(np.mean(v)) for v in by_task.values()]
+            gap = min(abs(a - b) for i, a in enumerate(means) for b in means[i + 1:])
+            assert separation(summaries, step) == gap
+
+
+def test_csv_format():
     summaries = [
         ThetaSummary(step=0, task_id=0, count=3, mean=0.123456789123, std=0.5,
                      histogram=(1, 2, 0)),
         ThetaSummary(step=9, task_id=1, count=2, mean=-1.0, std=0.25,
                      histogram=(0, 1, 1)),
     ]
-    path = tmp_path / "summary.csv"
-    write_summary_csv(summaries, path)
-    lines = path.read_text().splitlines()
+    lines = summary_csv(summaries).splitlines()
     assert lines[0] == "step,task_id,count,mean,std,bin_0,bin_1,bin_2"
     assert lines[1] == "0,0,3,0.123456789,0.5,1,2,0"
     assert lines[2] == "9,1,2,-1,0.25,0,1,1"
 
 
-def test_csv_rejects_empty(tmp_path):
+def test_csv_rejects_empty():
     with pytest.raises(ValueError):
-        write_summary_csv([], tmp_path / "x.csv")
+        summary_csv([])

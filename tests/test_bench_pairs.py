@@ -120,6 +120,30 @@ def test_run_side_reads_rounds_from_the_line_before_the_result(monkeypatch):
     }
 
 
+def test_run_side_keeps_the_failed_checks_of_an_incorrect_run(monkeypatch):
+    correct, incorrect = run(2.0, 1.0), run(2.0, 1.0, correct=False)
+    for result in (correct, incorrect):
+        del result["rounds"]
+    stderr = ("round 1\ncheck failed: rotmole_r2: directional rel err 1.64e-04\n"
+              "check failed: mlp: no learning\n")
+    outputs = [(correct, 0), (incorrect, 1)]
+
+    def fake_run(args, **kwargs):
+        result, code = outputs.pop(0)
+        stdout = json.dumps({"rounds": 18}) + "\n" + json.dumps(result) + "\n"
+        return subprocess.CompletedProcess(args, code, stdout, stderr)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert "problems" not in bench_pairs.run_side(Path("."), "gradcheck-sweep", 8, 30.0)
+    side = bench_pairs.run_side(Path("."), "gradcheck-sweep", 8, 30.0)
+    problems = ["rotmole_r2: directional rel err 1.64e-04", "mlp: no learning"]
+    assert side == dict(incorrect, rounds=18, problems=problems)
+    out = bench_pairs.summarize([{"seed": 8, "parent": run(2.0, 1.0), "change": side}], METRICS)
+    assert out["bad_runs"] == [
+        {"seed": 8, "side": "change", "correct": False, "failed": 0, "problems": problems}
+    ]
+
+
 @pytest.mark.parametrize("change, code", [
     (run(1.0, 1.0), 0),
     (run(0.5, 1.0), 1),  # a metric beyond its bound

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rotmole import cli
 from rotmole.adapter import load_layer
 from rotmole.cli import load_experiment_config, main
 from rotmole.numkit import ConfigError
@@ -171,6 +172,47 @@ def test_output_dir_not_a_directory_exit_2_before_any_work(tmp_path, capsys, com
     assert sorted(tmp_path.rglob("*")) == before and blocker.read_text() == "a file\n"
 
 
+def _refuse_work(*args, **kwargs):
+    raise AssertionError("run_experiment called")
+
+
+@pytest.mark.parametrize("command, artifact", [
+    ("train", "metrics.jsonl"),
+    ("train", "thetas.jsonl"),
+    ("train", "layer.json"),
+    ("compare", "compare.json"),
+])
+def test_artifact_path_a_directory_exit_2_before_any_work(
+    tmp_path, monkeypatch, capsys, command, artifact
+):
+    monkeypatch.setattr(cli, "run_experiment", _refuse_work)
+    blocker = tmp_path / "out" / artifact
+    (blocker / "inside").mkdir(parents=True)
+    path = write_config(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and str(blocker) in err[0], err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_analyze_summary_path_a_directory_exit_2(tmp_path, capsys):
+    thetas = tmp_path / "thetas.jsonl"
+    thetas.write_text('{"step": 0, "task_id": 0, "expert_index": 0, "theta": 0.5}\n'
+                      '{"step": 0, "task_id": 1, "expert_index": 0, "theta": -0.5}\n')
+    blocker = tmp_path / "summary.csv"
+    blocker.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["analyze", "--thetas", str(thetas), "--snapshots", "0"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and str(blocker) in err[0], err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_train_writes_artifacts(tmp_path):
     path = write_config(tmp_path)
     assert main(["train", "--config", str(path)]) == 0
@@ -270,6 +312,17 @@ def test_analyze_skips_blank_lines(tmp_path, capsys):
         summaries.append((tmp_path / "summary.csv").read_bytes())
     assert summaries[0] == summaries[1]
     assert "step 0: separation" in capsys.readouterr().out
+
+
+def test_analyze_prints_separation_per_snapshot_named(tmp_path, capsys):
+    # A snapshot named twice is summarized and printed twice; its separation
+    # is still the gap between two tasks, not between a task and itself.
+    thetas = tmp_path / "thetas.jsonl"
+    thetas.write_text('{"step": 0, "task_id": 0, "expert_index": 0, "theta": 0.5}\n'
+                      '{"step": 0, "task_id": 1, "expert_index": 0, "theta": -0.25}\n')
+    assert main(["analyze", "--thetas", str(thetas), "--snapshots", "0,0", "--bins", "4"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["step 0: separation 0.75"] * 2
 
 
 def test_analyze_missing_file_exit_2(tmp_path, capsys):

@@ -10,7 +10,6 @@ from rotmole.rotation import (
     build_plane,
     build_planes,
     decompose_transform,
-    planar_coords,
     rotation_matrix_2d,
     rotation_matrix_r,
 )
@@ -150,21 +149,6 @@ def test_apply_rotation_degenerate_returns_input():
     plane = build_plane(u, 2.0 * u)  # parallel anchor
     assert plane.degenerate
     assert np.array_equal(apply_rotation(u, plane, 1.234), u)
-
-
-def test_planar_coords_reconstruction():
-    rng = Rng(41)
-    for _ in range(100):
-        u, q = rng.normals(5), rng.normals(5)
-        plane = build_plane(u, q)
-        c = planar_coords(q, plane)
-        in_plane = c.c1 * plane.e1 + c.c2 * plane.e2
-        residual = q - in_plane
-        # residual is orthogonal to the plane; u itself lies fully in it
-        assert abs(float(residual @ plane.e1)) < 1e-10
-        assert abs(float(residual @ plane.e2)) < 1e-10
-        cu = planar_coords(u, plane)
-        assert np.abs(cu.c1 * plane.e1 + cu.c2 * plane.e2 - u).max() < 1e-10
 
 
 def test_decompose_axis_aligned():

@@ -17,9 +17,9 @@ side's median and quartiles, the ratio of the medians (change over parent)
 and the pairs the change wins (ties count for neither side); each side's
 rounds as a median and quartiles; the metrics whose change median is worse
 than the parent's by more than their BENCHMARK.json bound; and every run
-that read `correct: false` or `failed > 0`, or printed no result. The exit
-code is 1 when either of those two lists is non-empty, so a script that runs
-the pairs stops there.
+that read `correct: false` (with the checks it failed) or `failed > 0`, or
+printed no result. The exit code is 1 when either of those two lists is
+non-empty, so a script that runs the pairs stops there.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+CHECK_FAILED = "check failed: "  # how benchmarks/run.py reports each failed check
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -99,14 +100,16 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             run = p[side]
             if "error" in run or run.get("correct") is not True or run.get("failed", 0) > 0:
                 out["bad_runs"].append({"seed": p["seed"], "side": side, **{
-                    key: run[key] for key in ("correct", "failed", "error") if key in run
+                    key: run[key] for key in ("correct", "failed", "problems", "error")
+                    if key in run
                 }})
     return out
 
 
 def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run in `checkout`: its last stdout line, parsed,
-    with the `rounds` of the line before it."""
+    with the `rounds` of the line before it and, when it is not `correct`,
+    the `problems` its `check failed: ` stderr lines name."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
@@ -117,10 +120,15 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     try:
         result = json.loads(lines[-1])
         result["rounds"] = json.loads(lines[-2])["rounds"]
-        return result
     except (IndexError, KeyError, TypeError, json.JSONDecodeError):
         tail = (proc.stderr.strip().splitlines() or [""])[-1]
         return {"error": f"exit {proc.returncode}: {tail}"}
+    if result.get("correct") is not True:
+        result["problems"] = [
+            line.removeprefix(CHECK_FAILED) for line in proc.stderr.splitlines()
+            if line.startswith(CHECK_FAILED)
+        ]
+    return result
 
 
 @contextlib.contextmanager
