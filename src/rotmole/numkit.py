@@ -1,4 +1,5 @@
-"""Dense float64 helpers, a portable deterministic PRNG, and weight initialization.
+"""Dense float64 helpers, a portable deterministic PRNG, weight initialization,
+and the JSON readers of configs and files (`from_doc`, `from_json`, `read_json`).
 
 Arrays are plain numpy ndarrays (row-major, 64-bit floats); matrices are 2-D,
 vectors 1-D. Everything here is desk-scale plumbing: correctness and

@@ -50,6 +50,8 @@ class TrainConfig:
             raise ConfigError(f"lr0 must be >= 0, got {self.lr0}")
         if self.eval_every < 1 or self.theta_log_every < 1:
             raise ConfigError("eval_every and theta_log_every must be >= 1")
+        if not 0 <= self.seed < 2**64:  # Rng keeps a seed's low 64 bits only
+            raise ConfigError(f"seed must be in [0, 2^64), got {self.seed}")
 
 
 @dataclass(frozen=True)

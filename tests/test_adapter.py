@@ -8,6 +8,7 @@ from rotmole.adapter import (
     AdapterConfig,
     count_trainable_routing_params,
     forward,
+    forward_batch,
     init_adapter,
     layer_from_doc,
     layer_to_doc,
@@ -101,6 +102,13 @@ def test_route_shape_error():
     layer = init_adapter(small_config(), Rng(0))
     with pytest.raises(ShapeError):
         route(layer, np.zeros(7))
+
+
+def test_forward_batch_shape_error():
+    layer = init_adapter(small_config(), Rng(0))
+    for xs in (np.zeros((3, 7)), np.zeros(8)):
+        with pytest.raises(ShapeError, match="forward_batch: input shape"):
+            forward_batch(layer, xs)
 
 
 def test_route_angle_strictly_inside_period():
@@ -306,6 +314,20 @@ def test_layer_file_missing_or_unknown_key_names_it(tmp_path):
     doc["experts"][1]["c"] = None
     with pytest.raises(ConfigError, match=r"unknown layer field 'experts\.1\.c'"):
         layer_from_doc(doc)
+
+
+def test_layer_file_part_not_an_object_rejected():
+    with pytest.raises(ConfigError, match="^layer must be a JSON object$"):
+        layer_from_doc([])
+    doc = _layer_doc()
+    doc["experts"][1] = [0.0]
+    with pytest.raises(ConfigError, match=r"^layer field 'experts\.1' must be a JSON object$"):
+        layer_from_doc(doc)
+    for field in ("router", "w0"):
+        doc = _layer_doc()
+        doc[field] = "x"
+        with pytest.raises(ConfigError, match=rf"^layer field '{field}' must be a JSON object$"):
+            layer_from_doc(doc)
 
 
 def test_layer_file_wrong_shape_rejected():

@@ -7,6 +7,7 @@ from rotmole import autograd
 from rotmole.adapter import (
     AdapterConfig,
     forward,
+    forward_batch,
     init_adapter,
     mlp_variant,
     route,
@@ -16,6 +17,7 @@ from rotmole.autograd import (
     GRADCHECK_H,
     GRADCHECK_TOL,
     backward,
+    backward_batch,
     compare_gradients,
     finite_diff_grad,
     grad_check,
@@ -55,8 +57,26 @@ def test_backward_rejects_mismatched_cache():
     layer, rng = make_layer()
     other, _ = make_layer(d=8, n=2, k=1, seed=3)
     _, cache = forward(layer, rng.normals(6))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="different config"):
         backward(other, cache, np.zeros(8))
+
+
+def test_backward_rejects_gradient_of_wrong_shape():
+    layer, rng = make_layer()
+    _, cache = forward(layer, rng.normals(6))
+    with pytest.raises(ValueError, match="gradient/input dimension"):
+        backward(layer, cache, np.zeros(5))
+
+
+def test_backward_batch_rejects_mismatched_cache_or_gradient():
+    layer, rng = make_layer()
+    other, _ = make_layer(d=8, n=2, k=1, seed=3)
+    _, cache = forward_batch(layer, rng.normals(5 * 6).reshape(5, 6))
+    with pytest.raises(ValueError, match="different config"):
+        backward_batch(other, cache, np.zeros((5, 8)))
+    for dl_dy in (np.zeros((4, 6)), np.zeros(30)):
+        with pytest.raises(ValueError, match="gradient shape does not match"):
+            backward_batch(layer, cache, dl_dy)
 
 
 def test_backward_unselected_experts_get_exact_zero():

@@ -8,7 +8,6 @@ records on their reprs (a float's repr names its double exactly), because
 """
 
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +30,6 @@ from rotmole.rotation import apply_rotation, apply_rotations, build_plane, build
 from rotmole.synth import (
     DatasetConfig,
     Sample,
-    _draw_input,
     draw_batch,
     make_rotation_separable_tasks,
     sample_batch,
@@ -105,119 +103,6 @@ def assert_batch_matches_oracle(layer, xs, dl_dy):
     return decisions, cache
 
 
-@pytest.mark.parametrize("shape", SHAPES)
-@pytest.mark.parametrize("arm", ARMS)
-def test_forward_backward_batch_match_per_sample(arm, shape):
-    d, n, k, _ = shape
-    layer = random_layer(arm_config(arm, d, n, k), seed=11)
-    rng = Rng(12)
-    xs = rng.normals(64 * d).reshape(64, d)
-    dl_dy = rng.normals(64 * d).reshape(64, d) / (64 * d)
-    assert_batch_matches_oracle(layer, xs, dl_dy)
-
-
-@pytest.mark.parametrize("n, k", [(1, 1), (4, 2)])
-def test_degenerate_plane_rows_match_per_sample(n, k):
-    d = 16 if n == 1 else 32
-    layer = random_layer(AdapterConfig(d=d, r=3, n=n, k=k, mode="rotmole"), seed=21)
-    rng = Rng(22)
-    xs = rng.normals(16 * d).reshape(16, d)
-    xs[0] = 0.0  # A_i x = 0: the plane has no first axis
-    for i, expert in enumerate(layer.experts):
-        layer.router.q[i] = 2.0 * (expert.a @ xs[1])  # q_i parallel to A_i x: no residual
-    dl_dy = rng.normals(16 * d).reshape(16, d)
-    decisions, _ = assert_batch_matches_oracle(layer, xs, dl_dy)
-    for row in (0, 1):
-        _, cache = forward(layer, xs[row])
-        assert all(plane.degenerate for plane in cache.planes)
-    assert decisions[1].theta.any()  # the angle is live, only the plane is not
-
-
-@pytest.mark.parametrize("n, k", [(1, 1), (4, 2)])
-def test_all_degenerate_batch_matches_per_sample(n, k):
-    # Zero anchors leave no residual, so every pair's plane is degenerate
-    # and the batched plane backward runs over zero live pairs.
-    layer = random_layer(AdapterConfig(d=16, r=3, n=n, k=k, mode="rotmole"), seed=23)
-    layer.router.q[...] = 0.0
-    rng = Rng(24)
-    xs = rng.normals(16 * 16).reshape(16, 16)
-    dl_dy = rng.normals(16 * 16).reshape(16, 16)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        decisions, cache = assert_batch_matches_oracle(layer, xs, dl_dy)
-    assert cache.pairs.planes.degenerate.all()
-    assert any(d.theta.any() for d in decisions)  # the angles are live, only the planes are not
-
-
-@pytest.mark.parametrize("r", [2, 3])
-def test_saturated_angles_match_per_sample(r):
-    layer = random_layer(AdapterConfig(d=16, r=r, n=4, k=2, mode="rotmole"), seed=25)
-    rng = Rng(26)
-    xs = rng.normals(16 * 16).reshape(16, 16)
-    xs[:8] *= 1e4  # angle-gate logits of order 1e4: the sigmoid saturates to 0 or 1
-    dl_dy = rng.normals(16 * 16).reshape(16, 16)
-    decisions, _ = assert_batch_matches_oracle(layer, xs, dl_dy)
-    assert any(abs(t) == THETA_LIMIT for d in decisions for t in d.theta)
-
-
-@pytest.mark.parametrize("mode", ["rotmole", "scaling_only", "mlp_gate"])
-def test_top_k_tie_matches_per_sample(mode):
-    config = arm_config(mode, 32, 4, 2)
-    layer = random_layer(config, seed=31)
-    router = layer.router
-    if mode == "mlp_gate":
-        router.mlp_w2[:, 2] = router.mlp_w2[:, 1]
-    else:
-        router.w_g[:, 2] = router.w_g[:, 1]
-    rng = Rng(32)
-    xs = rng.normals(64 * 32).reshape(64, 32)
-    xs[5] = 0.0  # every logit equal
-    dl_dy = rng.normals(64 * 32).reshape(64, 32)
-    decisions, _ = assert_batch_matches_oracle(layer, xs, dl_dy)
-    # The tie decides the selection: expert 1 ranks ahead of its twin, which
-    # sits just outside the top k.
-    assert any(1 in d.selected and 2 not in d.selected for d in decisions)
-    assert decisions[5].selected == (0, 1)
-
-
-@pytest.mark.parametrize("k", [2, 4])
-@pytest.mark.parametrize("mode", ["rotmole", "scaling_only"])
-def test_ranking_under_many_way_ties_matches_route(mode, k):
-    # One-hot rows read one row of w_g each: 16 logits from {0, 1, 2, 3},
-    # so most rows rank several many-way ties, where only a stable sort
-    # keeps route's order (lower index first).
-    d = n = 16
-    layer = random_layer(AdapterConfig(d=d, r=3, n=n, k=k, mode=mode), seed=36)
-    layer.router.w_g[...] = np.floor(4.0 * Rng(37).floats(d * n)).reshape(d, n)
-    xs = np.eye(d)
-    _, cache = forward_batch(layer, xs)
-    for x, selected in zip(xs, cache.selected.tolist()):
-        assert tuple(selected) == route(layer, x).selected
-    logits = np.sort(layer.router.w_g, axis=1)[:, ::-1]
-    assert np.any(logits[:, k - 1] == logits[:, k])  # a tie at the cut
-
-
-@pytest.mark.parametrize("mode", ["rotmole", "scaling_only", "mlp_gate"])
-def test_ranking_on_underflowed_softmax_matches_per_sample(mode):
-    # Logits 0, -900, -800, -1000: every softmax value but the first is 0.0,
-    # so the runner-up is expert 1 by index, where the logits would pick 2.
-    layer = random_layer(arm_config(mode, 32, 4, 2), seed=33)
-    router, logits = layer.router, np.array([0.0, -900.0, -800.0, -1000.0])
-    if mode == "mlp_gate":
-        router.mlp_w1[...] = 0.0
-        router.mlp_w1[0, 0] = 1.0
-        router.mlp_w2[...] = 0.0
-        router.mlp_w2[0] = logits
-    else:
-        router.w_g[...] = 0.0
-        router.w_g[0] = logits
-    xs = Rng(34).normals(16 * 32).reshape(16, 32)
-    xs[:, 0] = 1.0
-    dl_dy = Rng(35).normals(16 * 32).reshape(16, 32)
-    decisions, _ = assert_batch_matches_oracle(layer, xs, dl_dy)
-    assert all(d.selected == (0, 1) for d in decisions)
-
-
 # ---------------------------------------------------------------------------
 # The pinned branch: finite differences run only `forward(..., force_selected=...)`
 # ---------------------------------------------------------------------------
@@ -254,41 +139,13 @@ def assert_pinning_keeps_bits(layer, xs):
                 assert same_field(getattr(got, name), getattr(want, name)), name
 
 
-@pytest.mark.parametrize("shape", SHAPES)
-@pytest.mark.parametrize("arm", ARMS)
-def test_pinned_forward_matches_unpinned(arm, shape):
-    d, n, k, _ = shape
-    layer = random_layer(arm_config(arm, d, n, k), seed=41)
-    assert_pinning_keeps_bits(layer, Rng(42).normals(16 * d).reshape(16, d))
-
-
-@pytest.mark.parametrize("n, k", [(1, 1), (4, 2)])
-def test_pinned_forward_matches_unpinned_on_degenerate_planes(n, k):
-    d = 16 if n == 1 else 32
-    layer = random_layer(AdapterConfig(d=d, r=3, n=n, k=k, mode="rotmole"), seed=43)
-    xs = Rng(44).normals(8 * d).reshape(8, d)
-    xs[0] = 0.0  # A_i x = 0: the plane has no first axis
-    for i, expert in enumerate(layer.experts):
-        layer.router.q[i] = 2.0 * (expert.a @ xs[1])  # q_i parallel to A_i x: no residual
-    assert all(plane.degenerate for row in (0, 1) for plane in forward(layer, xs[row])[1].planes)
-    assert_pinning_keeps_bits(layer, xs)
-
-
-@pytest.mark.parametrize("r", [2, 3])
-def test_pinned_forward_matches_unpinned_on_saturated_angles(r):
-    layer = random_layer(AdapterConfig(d=16, r=r, n=4, k=2, mode="rotmole"), seed=45)
-    xs = Rng(46).normals(8 * 16).reshape(8, 16)
-    xs[:4] *= 1e4  # angle-gate logits of order 1e4: the sigmoid saturates to 0 or 1
-    thetas = [t for x in xs for t in forward(layer, x)[1].decision.theta.tolist()]
-    assert THETA_LIMIT in map(abs, thetas)
-    assert_pinning_keeps_bits(layer, xs)
-
-
 # ---------------------------------------------------------------------------
-# The expert-sorted pairs: empty, full and one-row slices, and degenerate rows
+# Planted cases
 # ---------------------------------------------------------------------------
-
-PAIR_SHAPES = [(16, 8, 2), (16, 4, 4)]  # (d, n, k)
+# A case plants one edge into a random layer and into a batch that it draws
+# from `rng`. It returns the batch and a check that the edge occurred, which
+# takes the per-sample decisions and the batch cache. pyproject turns every
+# RuntimeWarning into a failure, so no case may raise one.
 
 
 def force_routing(layer, xs, always, never):
@@ -314,43 +171,138 @@ def slice_sizes(cache):
     return sizes
 
 
-@pytest.mark.parametrize("shape", PAIR_SHAPES)
-@pytest.mark.parametrize("arm", ARMS)
-def test_expert_with_every_row_and_expert_with_none(arm, shape):
-    d, n, k = shape
-    layer = random_layer(arm_config(arm, d, n, k), seed=81)
-    rng = Rng(82)
-    xs = rng.normals(32 * d).reshape(32, d)
+def normal_rows(rng, m, d):
+    return rng.normals(m * d).reshape(m, d)
+
+
+def random_rows(layer, rng):
+    xs = normal_rows(rng, 24 + layer.config.n, layer.config.d)  # 64 rows fill 40 experts
+
+    def every_expert_has_rows(decisions, cache):
+        # A random MLP gate concentrates its routing: some experts take no row.
+        assert all(slice_sizes(cache)) or layer.config.mode == "mlp_gate"
+
+    return xs, every_expert_has_rows
+
+
+def zero_and_parallel_anchor_rows(layer, rng):
+    xs = normal_rows(rng, 16, layer.config.d)
+    xs[0] = 0.0  # A_i x = 0: the plane has no first axis
+    for i, expert in enumerate(layer.experts):
+        layer.router.q[i] = 2.0 * (expert.a @ xs[1])  # q_i parallel to A_i x: no residual
+
+    def rows_0_and_1_degenerate_with_a_live_angle(decisions, cache):
+        for row in (0, 1):
+            assert all(plane.degenerate for plane in forward(layer, xs[row])[1].planes)
+        assert decisions[1].theta.any()  # the angle is live, only the plane is not
+
+    return xs, rows_0_and_1_degenerate_with_a_live_angle
+
+
+def all_anchors_zero(layer, rng):
+    # Zero anchors leave no residual, so every pair's plane is degenerate
+    # and the batched plane backward runs over zero live pairs.
+    layer.router.q[...] = 0.0
+
+    def every_plane_degenerate_with_live_angles(decisions, cache):
+        assert cache.pairs.planes.degenerate.all()
+        assert any(d.theta.any() for d in decisions)
+
+    return normal_rows(rng, 16, layer.config.d), every_plane_degenerate_with_live_angles
+
+
+def saturated_angles(layer, rng):
+    xs = normal_rows(rng, 16, layer.config.d)
+    xs[:8] *= 1e4  # angle-gate logits of order 1e4: the sigmoid saturates to 0 or 1
+
+    def some_angle_at_the_limit(decisions, cache):
+        assert any(abs(t) == THETA_LIMIT for d in decisions for t in d.theta)
+
+    return xs, some_angle_at_the_limit
+
+
+def top_k_tie(layer, rng):
+    router = layer.router
+    if layer.config.mode == "mlp_gate":
+        router.mlp_w2[:, 2] = router.mlp_w2[:, 1]
+    else:
+        router.w_g[:, 2] = router.w_g[:, 1]
+    xs = normal_rows(rng, 64, layer.config.d)
+    xs[5] = 0.0  # every logit equal
+
+    def expert_1_ahead_of_its_twin(decisions, cache):
+        # The tie decides the selection: expert 1 ranks ahead of its twin,
+        # which sits just outside the top k.
+        assert any(1 in d.selected and 2 not in d.selected for d in decisions)
+        assert decisions[5].selected == (0, 1)
+
+    return xs, expert_1_ahead_of_its_twin
+
+
+def many_way_ties(layer, rng):
+    # One-hot rows read one row of w_g each: 16 logits from {0, 1, 2, 3},
+    # so most rows rank several many-way ties, where only a stable sort
+    # keeps route's order (lower index first).
+    d, n, k = layer.config.d, layer.config.n, layer.config.k
+    layer.router.w_g[...] = np.floor(4.0 * rng.floats(d * n)).reshape(d, n)
+    xs = np.eye(d)
+
+    def route_order_with_a_tie_at_the_cut(decisions, cache):
+        for x, selected in zip(xs, cache.selected.tolist()):
+            assert tuple(selected) == route(layer, x).selected
+        logits = np.sort(layer.router.w_g, axis=1)[:, ::-1]
+        assert np.any(logits[:, k - 1] == logits[:, k])
+
+    return xs, route_order_with_a_tie_at_the_cut
+
+
+def underflowed_softmax(layer, rng):
+    # Logits 0, -900, -800, -1000: every softmax value but the first is 0.0,
+    # so the runner-up is expert 1 by index, where the logits would pick 2.
+    router, logits = layer.router, np.array([0.0, -900.0, -800.0, -1000.0])
+    if layer.config.mode == "mlp_gate":
+        router.mlp_w1[...] = 0.0
+        router.mlp_w1[0, 0] = 1.0
+        router.mlp_w2[...] = 0.0
+        router.mlp_w2[0] = logits
+    else:
+        router.w_g[...] = 0.0
+        router.w_g[0] = logits
+    xs = normal_rows(rng, 16, layer.config.d)
+    xs[:, 0] = 1.0
+
+    def every_row_selects_0_and_1(decisions, cache):
+        assert all(d.selected == (0, 1) for d in decisions)
+
+    return xs, every_row_selects_0_and_1
+
+
+def expert_with_every_row_and_one_with_none(layer, rng):
+    n, k = layer.config.n, layer.config.k
+    xs = normal_rows(rng, 32, layer.config.d)
     force_routing(layer, xs, always=2, never=5 % n)
-    dl_dy = rng.normals(32 * d).reshape(32, d)
-    decisions, cache = assert_batch_matches_oracle(layer, xs, dl_dy)
-    assert all(dec.selected[0] == 2 for dec in decisions)
-    sizes = slice_sizes(cache)
-    assert sizes[2] == 32 and sum(sizes) == 32 * k
-    if k < n:  # at k = n every expert takes every row
-        assert sizes[5] == 0
+
+    def full_and_empty_slices(decisions, cache):
+        assert all(dec.selected[0] == 2 for dec in decisions)
+        sizes = slice_sizes(cache)
+        assert sizes[2] == 32 and sum(sizes) == 32 * k
+        if k < n:  # at k = n every expert takes every row
+            assert sizes[5] == 0
+
+    return xs, full_and_empty_slices
 
 
-@pytest.mark.parametrize("shape", PAIR_SHAPES)
-@pytest.mark.parametrize("arm", ARMS)
-def test_one_row_batch_matches_per_sample(arm, shape):
-    d, n, k = shape
-    layer = random_layer(arm_config(arm, d, n, k), seed=83)
-    rng = Rng(84)
-    xs, dl_dy = rng.normals(d).reshape(1, d), rng.normals(d).reshape(1, d)
-    _, cache = assert_batch_matches_oracle(layer, xs, dl_dy)
-    assert slice_sizes(cache).count(1) == k and sum(slice_sizes(cache)) == k
+def one_row(layer, rng):
+    def k_slices_of_one(decisions, cache):
+        assert slice_sizes(cache).count(1) == layer.config.k == sum(slice_sizes(cache))
+
+    return normal_rows(rng, 1, layer.config.d), k_slices_of_one
 
 
-@pytest.mark.parametrize("shape", PAIR_SHAPES)
-@pytest.mark.parametrize("arm", ARMS)
-def test_degenerate_rows_in_several_slices_match_per_sample(arm, shape):
-    d, n, k = shape
-    layer = random_layer(arm_config(arm, d, n, k), seed=85)
-    rng = Rng(86)
-    xs = rng.normals(24 * d).reshape(24, d)
-    xs[3] = 0.0  # A_i x = 0 in every slice that holds row 3
+def degenerate_rows_in_several_slices(layer, rng):
     config = layer.config
+    xs = normal_rows(rng, 16 + 2 * config.n, config.d)
+    xs[3] = 0.0  # every logit 0, and A_i x = 0 in every slice that holds row 3
     planted = {}
     if config.mode == "rotmole" and config.r > 2:
         # For each expert, turn its anchor parallel to A_i x of a row of its
@@ -360,14 +312,52 @@ def test_degenerate_rows_in_several_slices_match_per_sample(arm, shape):
             row = next(j for j in cache.pairs.rows[span].tolist() if j != 3 and j not in planted.values())
             layer.router.q[i] = 2.0 * (layer.experts[i].a @ xs[row])
             planted[i] = row
-    dl_dy = rng.normals(24 * d).reshape(24, d)
-    _, cache = assert_batch_matches_oracle(layer, xs, dl_dy)
-    if planted:
-        pairs = cache.pairs
-        for i, span in pairs.spans:
-            degenerate_rows = set(pairs.rows[span][pairs.planes.degenerate[span]].tolist())
-            assert degenerate_rows - {3} == {planted[i]}
-        assert len(planted) >= 4
+
+    def each_slice_holds_its_planted_row(decisions, cache):
+        assert decisions[3].selected == tuple(range(config.k))
+        if planted:
+            pairs = cache.pairs
+            for i, span in pairs.spans:
+                degenerate_rows = set(pairs.rows[span][pairs.planes.degenerate[span]].tolist())
+                assert degenerate_rows - {3} == {planted[i]}
+            assert len(planted) >= 4
+
+    return xs, each_slice_holds_its_planted_row
+
+
+SHAPES_DNK = [shape[:3] for shape in SHAPES]
+PAIR_SHAPES = [(16, 8, 2), (16, 4, 4)]
+WIDE = [(16, 40, 4)]  # 4 of 40 experts; an entry here takes about 0.15 s, so fewer arms run
+CASES = [  # (case, arms, (d, n, k) shapes)
+    (random_rows, ARMS, SHAPES_DNK),
+    (random_rows, ["rotmole", "rotmole_r2", "scaling_only"], WIDE),  # gates giving every expert rows
+    (zero_and_parallel_anchor_rows, ["rotmole"], SHAPES_DNK),
+    (all_anchors_zero, ["rotmole"], SHAPES_DNK),
+    (saturated_angles, ["rotmole", "rotmole_r2"], [(16, 4, 2)]),
+    (top_k_tie, ARMS, [(32, 4, 2)]),
+    (many_way_ties, ["rotmole", "rotmole_r2", "scaling_only"], [(16, 16, 2), (16, 16, 4)]),
+    (underflowed_softmax, ARMS, [(32, 4, 2)]),
+    (expert_with_every_row_and_one_with_none, ARMS, PAIR_SHAPES + WIDE),
+    (one_row, ARMS, PAIR_SHAPES + WIDE),
+    (degenerate_rows_in_several_slices, ARMS, PAIR_SHAPES),
+    (degenerate_rows_in_several_slices, ["rotmole"], WIDE),  # the arm whose planes it plants
+]
+SEEDS = [1, 2]
+
+
+@pytest.mark.parametrize("case, arm, shape, seed", [
+    pytest.param(case, arm, shape, seed,
+                 id="{}-{}-d{}n{}k{}-seed{}".format(case.__name__, arm, *shape, seed))
+    for case, arms, shapes in CASES for arm in arms for shape in shapes for seed in SEEDS
+])
+def test_planted_case_matches_oracle_and_pinning(case, arm, shape, seed):
+    layer = random_layer(arm_config(arm, *shape), seed)
+    rng = Rng(1000 + seed)  # a stream apart from every layer's
+    xs, edge_occurred = case(layer, rng)
+    dl_dy = normal_rows(rng, *xs.shape)
+    decisions, cache = assert_batch_matches_oracle(layer, xs, dl_dy)
+    assert_pinning_keeps_bits(layer, xs)
+    edge_occurred(decisions, cache)
 
 
 def test_build_planes_match_build_plane():
@@ -408,10 +398,14 @@ def test_build_planes_rejects_anchors_of_other_shapes():
 
 
 def per_sample_batch(specs, cfg, rng):
+    """`sample_batch` one sample at a time: its free inputs, then its noise."""
+    free = cfg.d - cfg.n_task
     batch = []
     for _ in range(cfg.samples_per_task_per_batch):
         for spec in specs:
-            x = _draw_input(cfg, spec.task_id, rng)
+            x = np.zeros(cfg.d)
+            x[:free] = rng.normals(free)
+            x[free + spec.task_id] = 1.0
             y = target_output(spec, x) + cfg.noise_std * rng.normals(cfg.d)
             batch.append(Sample(spec.task_id, x, y))
     return batch
@@ -449,6 +443,10 @@ def test_sample_batch_rejects_specs_with_own_generators():
         with pytest.raises(ValueError, match="share"):
             draw_batch(own, cfg, rng)
         assert rng.next_u64() == Rng(57).next_u64()  # nothing drawn
+    rng = Rng(57)
+    with pytest.raises(ValueError, match="specs must be nonempty"):
+        draw_batch([], cfg, rng)
+    assert rng.next_u64() == Rng(57).next_u64()
 
 
 def test_target_outputs_match_target_output():

@@ -154,7 +154,9 @@ def test_run_side_keeps_the_failed_checks_of_an_incorrect_run(monkeypatch):
 def test_main_exits_1_on_a_bad_run_or_a_metric_beyond_its_bound(
     tmp_path, monkeypatch, capsys, change, code
 ):
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    (tmp_path / "BENCHMARK.json").write_text(
+        json.dumps({"workloads": [{"name": "small-compare"}], "end_to_end": METRICS})
+    )
 
     @contextlib.contextmanager
     def checkouts(rev):
@@ -172,3 +174,15 @@ def test_main_exits_1_on_a_bad_run_or_a_metric_beyond_its_bound(
     summary = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert summary["pairs"] == 2
     assert bool(summary["bad_runs"] or summary["beyond_bound"]) == (code == 1)
+
+
+def test_main_rejects_an_unknown_workload_before_any_checkout(monkeypatch, capsys):
+    def checkouts(rev):
+        raise AssertionError("a checkout was made")
+
+    monkeypatch.setattr(bench_pairs, "checkouts", checkouts)
+    argv = ["--parent", "HEAD", "--workload", "wide-trian", "--seeds", "1", "--seconds", "1"]
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(argv)
+    assert exit_info.value.code == 2
+    assert "'wide-trian'" in capsys.readouterr().err

@@ -111,7 +111,11 @@ def test_probe_expert_bounds(tmp_path):
     ("dataset", "noise_std", 10**400, "dataset.noise_std"),  # past the float range
     ("adapter", "k", True, "adapter.k"),
     ("adapter", "d", "8", "adapter.d"),
-], ids=["train.lr", "top-level", "steps", "lr0", "noise_std", "k", "d"])
+    ("adapter", "r", 2, "adapter.r"),  # disagrees with dataset.r
+    ("dataset", "seed", 2**64, "dataset.seed"),  # would run as seed 0
+    ("train", "seed", -1, "train.seed"),  # would run as seed 2^64 - 1
+], ids=["train.lr", "top-level", "steps", "lr0", "noise_std", "k", "d", "r", "dataset.seed",
+        "train.seed"])
 def test_bad_field_exit_2_names_it(tmp_path, capsys, section, key, value, field):
     path = write_config(tmp_path)
     doc = json.loads(path.read_text())
@@ -155,6 +159,16 @@ def test_readme_example_config_loads(tmp_path):
     config = load_experiment_config(path)
     assert config.adapter.mode == "rotmole"
     assert config.train.steps == 3000
+
+
+def test_readme_python_blocks_run():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    names = {}
+    for block in blocks:  # in order: a block may use the names of the blocks before it
+        exec(block, names)
+    assert names["report"].passed
 
 
 @pytest.mark.parametrize("below", ["", "sub"], ids=["is-a-file", "under-a-file"])
@@ -371,7 +385,8 @@ def test_analyze_bad_snapshots_exit_2(tmp_path):
     ('{"step": 0, "task_id": 0, "expert_index": 0, "theta": null}', "record.theta"),
     ('{"step": 0, "task_id": 0, "theta": 0.5}', "record.expert_index"),
     ('[0, 0, 0, 0.5]', "record"),
-], ids=["string", "null", "missing", "list"])
+    ('{"step": 0, "task_id": 0,', "invalid JSON"),
+], ids=["string", "null", "missing", "list", "not-json"])
 def test_analyze_bad_record_exit_2(tmp_path, capsys, line, field):
     thetas = tmp_path / "thetas.jsonl"
     thetas.write_text('{"type": "header", "init_seed": 1, "data_seed": 2}\n' + line + "\n")

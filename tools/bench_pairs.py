@@ -156,9 +156,11 @@ def checkouts(rev: str):
 
 
 def main(argv=None) -> int:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        choices=[workload["name"] for workload in benchmark["workloads"]])
     parser.add_argument("--seeds", required=True, help="such as 31-40 or 1,3,5")
     parser.add_argument("--seconds", type=float, required=True)
     args = parser.parse_args(argv)
@@ -166,7 +168,7 @@ def main(argv=None) -> int:
         seeds = parse_seeds(args.seeds)
     except ValueError as e:
         parser.error(f"--seeds: {e}")
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    metrics = benchmark["end_to_end"]
     # SIGTERM unwinds like Ctrl-C, so the checkouts are removed either way.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     pairs = []
