@@ -63,16 +63,14 @@ def summarize(
 
 
 def separation(summaries: list[ThetaSummary], step: int) -> float:
-    """Smallest gap between per-task mean angles at one snapshot step."""
+    """Smallest gap on the circle between per-task mean angles at one
+    snapshot step: means of -3 and 3 are 2 pi - 6 apart, not 6."""
     by_task = {s.task_id: s.mean for s in summaries if s.step == step}
     if len(by_task) < 2:
         raise ValueError(f"separation: need >= 2 tasks at step {step}, got {len(by_task)}")
     means = list(by_task.values())
-    return min(
-        abs(means[i] - means[j])
-        for i in range(len(means))
-        for j in range(i + 1, len(means))
-    )
+    gaps = [abs(a - b) % (2.0 * pi) for i, a in enumerate(means) for b in means[i + 1 :]]
+    return min(min(gap, 2.0 * pi - gap) for gap in gaps)
 
 
 def summary_csv(summaries: list[ThetaSummary]) -> str:

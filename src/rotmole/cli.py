@@ -222,10 +222,13 @@ def cmd_paramcount(config: ExperimentConfig) -> int:
     rot = count_trainable_routing_params(_mode_config(adapter, "rotmole"))
     mlp_cfg = _mode_config(adapter, "mlp_gate")
     mlp = count_trainable_routing_params(mlp_cfg)
-    print(f"d={adapter.d} r={adapter.r} n={adapter.n}")
+    print(f"d={adapter.d} r={adapter.r} n={adapter.n} k={adapter.k}")
     print(f"scaling_only routing params: {scaling}")
     print(f"rotmole routing params: {rot} (extra over scaling_only: {rot - scaling})")
     print(f"mlp_gate routing params: {mlp} (hidden dim: {mlp_cfg.mlp_hidden})")
+    if adapter.k == 1:
+        print("at k=1 the renormalized gate is exactly 1: w_g (mlp_gate: the MLP gate) "
+              "is counted above but gets an exact-zero gradient")
     return 0
 
 

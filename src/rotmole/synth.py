@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkit import ConfigError, Matrix, Rng, Vector, kaiming_uniform, l2_norm, rowwise_matvec
-from .rotation import apply_rotation, apply_rotations, build_plane, build_planes
+from .rotation import RotationPlane, apply_rotation, apply_rotations, build_plane, build_planes
 
 FLOOR_RNG_SALT = 0x666C6F6F72  # decouples the oracle's sample stream from training data
 FLOOR_ANGLE_STEP = 0.01
@@ -119,11 +119,17 @@ def make_rotation_separable_tasks(cfg: DatasetConfig, rng: Rng) -> list[TaskSpec
     ]
 
 
-def target_output(spec: TaskSpec, x: Vector) -> Vector:
-    """Noiseless target: base map plus the task's rotated low-rank delta."""
+def _target_terms(spec: TaskSpec, x: Vector) -> tuple[Vector, Vector, RotationPlane, Vector]:
+    """The terms of `target_output`: base W0* x, u = A* x, u's plane and delta B* R(phi) u."""
     u = spec.a_star @ x
     plane = build_plane(u, spec.q_star)
-    return spec.w0_star @ x + spec.b_star @ apply_rotation(u, plane, spec.phi)
+    return spec.w0_star @ x, u, plane, spec.b_star @ apply_rotation(u, plane, spec.phi)
+
+
+def target_output(spec: TaskSpec, x: Vector) -> Vector:
+    """Noiseless target: base map plus the task's rotated low-rank delta."""
+    base, _, _, delta = _target_terms(spec, x)
+    return base + delta
 
 
 def target_outputs(spec: TaskSpec, xs: Matrix, phis: Vector) -> Matrix:
@@ -209,8 +215,10 @@ def analytic_baseline_floor(specs: list[TaskSpec], cfg: DatasetConfig, n_mc: int
     per-component squared error over n_mc fresh noisy samples. Deliberately
     brute force so it shares nothing with the trainer it certifies.
 
-    Each block of samples takes its draws in one `_draw_rows` call.
-    Everything after the draw stays per sample, so the floor is an oracle
+    Each block of samples takes its draws in one `_draw_rows` call. Each
+    sample's base W0* x, u = A* x and plane come from `_target_terms`, the
+    terms `target_output` sums, so they are computed once per sample. The
+    rest stays per sample, one vector at a time, so the floor is an oracle
     independent of `target_outputs` and `build_planes`.
     """
     if n_mc < 10**4:
@@ -218,33 +226,30 @@ def analytic_baseline_floor(specs: list[TaskSpec], cfg: DatasetConfig, n_mc: int
     rng = Rng(cfg.seed ^ FLOOR_RNG_SALT)
     per_task = -(-n_mc // cfg.n_task)  # ceil division keeps tasks balanced
     step = max(1, DRAW_BLOCK // (2 * cfg.d - cfg.n_task))  # samples per `normals` call
+    zero = np.zeros(cfg.d)
 
     # Candidate deltas decompose as cos(angle) * plain + sin(angle) * turned,
     # with plain = B* A* x and turned = B* (||A* x|| e2(x)).
     stats = []
     for spec in specs:
-        acc = np.zeros(6)  # <rho,rho>, <rho,p>, <rho,t>, <p,p>, <p,t>, <t,t>
+        # <rho,rho>, <rho,p>, <rho,t>, <p,p>, <p,t>, <t,t>
+        rr = rp = rt = pp = pt = tt = 0.0
         for start in range(0, per_task, step):
             m = min(step, per_task - start)
             xs, noises = _draw_rows(cfg, np.full(m, spec.task_id), rng)
+            noises *= cfg.noise_std
             for x, noise in zip(xs, noises):
-                rho = target_output(spec, x) + cfg.noise_std * noise - spec.w0_star @ x
-                u = spec.a_star @ x
-                plane = build_plane(u, spec.q_star)
+                base, u, plane, delta = _target_terms(spec, x)
+                rho = (base + delta) + noise - base
                 plain = spec.b_star @ u
-                if plane.degenerate:
-                    turned = np.zeros(cfg.d)
-                else:
-                    turned = spec.b_star @ (plane.u_norm * plane.e2)
-                acc += [
-                    rho @ rho,
-                    rho @ plain,
-                    rho @ turned,
-                    plain @ plain,
-                    plain @ turned,
-                    turned @ turned,
-                ]
-        stats.append(acc / (per_task * cfg.d))
+                turned = zero if plane.degenerate else spec.b_star @ (plane.u_norm * plane.e2)
+                rr += rho @ rho
+                rp += rho @ plain
+                rt += rho @ turned
+                pp += plain @ plain
+                pt += plain @ turned
+                tt += turned @ turned
+        stats.append(np.array([rr, rp, rt, pp, pt, tt]) / (per_task * cfg.d))
 
     angles = np.arange(-math.pi, math.pi, FLOOR_ANGLE_STEP)
     scales = np.arange(0.0, FLOOR_SCALE_MAX + 1e-12, FLOOR_SCALE_STEP)

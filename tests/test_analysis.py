@@ -90,6 +90,23 @@ def test_separation_cases():
     assert separation(summarize(three, [0], n_bins=4), 0) == 1.0
 
 
+def test_separation_is_measured_on_the_circle():
+    # Means of -3 and 3 are 2 pi - 6 apart across the +-pi seam, not 6; a
+    # third task at 0.1 is about 3 from either and does not set the minimum.
+    records = (
+        records_from(0, 0, [-3.0])
+        + records_from(0, 1, [3.0])
+        + records_from(0, 2, [0.1])
+    )
+    assert separation(summarize(records, [0], n_bins=4), 0) == 2 * math.pi - 6.0
+    opposed = records_from(0, 0, [-math.pi / 2]) + records_from(0, 1, [math.pi / 2])
+    assert separation(summarize(opposed, [0], n_bins=4), 0) == math.pi
+    # An angle log is outside input: means of -4 and 4, past +-pi, are
+    # 8 - 2 pi apart, not 8.
+    wide = records_from(0, 0, [-4.0]) + records_from(0, 1, [4.0])
+    assert separation(summarize(wide, [0], n_bins=4), 0) == 8.0 - 2 * math.pi
+
+
 def test_separation_requires_two_tasks():
     with pytest.raises(ValueError):
         separation(summarize(records_from(0, 0, [0.1, 0.2]), [0], n_bins=4), 0)
@@ -115,7 +132,8 @@ def test_separation_of_summaries_matches_regrouped_records_bit_for_bit():
             if len(by_task) < 2:
                 continue
             means = [float(np.mean(v)) for v in by_task.values()]
-            gap = min(abs(a - b) for i, a in enumerate(means) for b in means[i + 1:])
+            gaps = [abs(a - b) for i, a in enumerate(means) for b in means[i + 1:]]
+            gap = min(min(g, 2 * math.pi - g) for g in gaps)  # on the circle
             assert separation(summaries, step) == gap
 
 

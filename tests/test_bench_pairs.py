@@ -73,14 +73,14 @@ def test_summary_lists_metrics_beyond_their_bound(rate, time, beyond):
 def test_summary_lists_failed_incorrect_and_missing_runs():
     pairs = [
         {"seed": 1, "parent": run(1.0, 1.0), "change": run(2.0, 1.0, correct=False)},
-        {"seed": 2, "parent": run(1.0, 1.0, failed=1), "change": run(2.0, 1.0)},
+        {"seed": 2, "parent": run(1.0, 1.0, failed=1, rounds=12), "change": run(2.0, 1.0)},
         {"seed": 3, "parent": run(1.0, 1.0), "change": {"error": "exit 2: no source"}},
     ]
     out = bench_pairs.summarize(pairs, METRICS)
     assert out["bad_runs"] == [
-        {"seed": 1, "side": "change", "correct": False, "failed": 0},
-        {"seed": 2, "side": "parent", "correct": True, "failed": 1},
-        {"seed": 3, "side": "change", "error": "exit 2: no source"},
+        {"seed": 1, "side": "change", "rounds": 10, "correct": False, "failed": 0},
+        {"seed": 2, "side": "parent", "rounds": 12, "correct": True, "failed": 1},
+        {"seed": 3, "side": "change", "error": "exit 2: no source"},  # no result, no rounds
     ]
     # The pair with no result drops out of every metric.
     assert out["metrics"]["rate"]["pairs"] == 2
@@ -140,7 +140,8 @@ def test_run_side_keeps_the_failed_checks_of_an_incorrect_run(monkeypatch):
     assert side == dict(incorrect, rounds=18, problems=problems)
     out = bench_pairs.summarize([{"seed": 8, "parent": run(2.0, 1.0), "change": side}], METRICS)
     assert out["bad_runs"] == [
-        {"seed": 8, "side": "change", "correct": False, "failed": 0, "problems": problems}
+        {"seed": 8, "side": "change", "rounds": 18, "correct": False, "failed": 0,
+         "problems": problems}
     ]
 
 

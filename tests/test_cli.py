@@ -299,6 +299,25 @@ def test_paramcount_prints_the_hidden_width_it_counts(tmp_path, capsys):
     assert "mlp_gate routing params: 54 (hidden dim: 3)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_paramcount_names_k_and_the_idle_gate_at_k1(tmp_path, capsys, k):
+    # At k=1 the one selected expert's renormalized gate is exactly 1, so the
+    # gate's parameters are counted but never move; the count lines keep
+    # their words, which the benchmark parses.
+    path = write_config(tmp_path, d=8, n=4, r=4, k=k, spt=2)
+    assert main(["paramcount", "--config", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"d=8 r=4 n=4 k={k}"
+    assert [line.split(":")[0] for line in lines[1:4]] == [
+        f"{mode} routing params" for mode in ("scaling_only", "rotmole", "mlp_gate")
+    ]
+    if k == 1:
+        assert len(lines) == 5
+        assert "w_g" in lines[4] and "MLP gate" in lines[4] and "exact-zero gradient" in lines[4]
+    else:
+        assert len(lines) == 4
+
+
 def test_analyze_roundtrip(tmp_path, capsys):
     path = write_config(tmp_path, steps=5)
     assert main(["train", "--config", str(path)]) == 0

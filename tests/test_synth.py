@@ -225,3 +225,22 @@ def test_floor_with_every_plane_degenerate():
     x = sample_batch(specs, cfg, Rng(1))[0].x
     assert build_plane(specs[0].a_star @ x, zero).degenerate
     assert repr(analytic_baseline_floor(specs, cfg, 10_000)) == "0.24795101527323973"
+
+
+def test_floor_builds_one_plane_per_sample(monkeypatch):
+    # Each sample's plane comes with its target's terms and serves the
+    # candidate directions too: one `build_plane` per sample, ceil(n_mc /
+    # n_task) samples per task, and the pinned bits all the same.
+    kwargs, expected = PINNED_FLOORS[3]
+    cfg = config(**kwargs)
+    specs = make_rotation_separable_tasks(cfg, Rng(cfg.seed))
+    calls = 0
+
+    def counted(u, q):
+        nonlocal calls
+        calls += 1
+        return build_plane(u, q)
+
+    monkeypatch.setattr(synth, "build_plane", counted)
+    assert repr(analytic_baseline_floor(specs, cfg, 10_000)) == expected
+    assert calls == cfg.n_task * math.ceil(10_000 / cfg.n_task) == 10_002

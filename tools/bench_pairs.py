@@ -18,8 +18,11 @@ and the pairs the change wins (ties count for neither side); each side's
 rounds as a median and quartiles; the metrics whose change median is worse
 than the parent's by more than their BENCHMARK.json bound; and every run
 that read `correct: false` (with the checks it failed) or `failed > 0`, or
-printed no result. The exit code is 1 when either of those two lists is
-non-empty, so a script that runs the pairs stops there.
+printed no result, with its rounds when it printed a result: the benchmark's
+directional and learning checks depend on the round count, so a failed run
+compares only with a parent run of as many rounds. The exit code is 1 when
+either of those two lists is non-empty, so a script that runs the pairs
+stops there.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             run = p[side]
             if "error" in run or run.get("correct") is not True or run.get("failed", 0) > 0:
                 out["bad_runs"].append({"seed": p["seed"], "side": side, **{
-                    key: run[key] for key in ("correct", "failed", "problems", "error")
+                    key: run[key] for key in ("rounds", "correct", "failed", "problems", "error")
                     if key in run
                 }})
     return out
