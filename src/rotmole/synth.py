@@ -119,17 +119,17 @@ def make_rotation_separable_tasks(cfg: DatasetConfig, rng: Rng) -> list[TaskSpec
     ]
 
 
-def _target_terms(spec: TaskSpec, x: Vector) -> tuple[Vector, Vector, RotationPlane, Vector]:
-    """The terms of `target_output`: base W0* x, u = A* x, u's plane and delta B* R(phi) u."""
+def _target_terms(spec: TaskSpec, x: Vector) -> tuple[Vector, RotationPlane, Vector]:
+    """u = A* x, u's plane and the delta B* R(phi) u that `target_output` adds to W0* x."""
     u = spec.a_star @ x
     plane = build_plane(u, spec.q_star)
-    return spec.w0_star @ x, u, plane, spec.b_star @ apply_rotation(u, plane, spec.phi)
+    return u, plane, spec.b_star @ apply_rotation(u, plane, spec.phi)
 
 
 def target_output(spec: TaskSpec, x: Vector) -> Vector:
     """Noiseless target: base map plus the task's rotated low-rank delta."""
-    base, _, _, delta = _target_terms(spec, x)
-    return base + delta
+    _, _, delta = _target_terms(spec, x)
+    return spec.w0_star @ x + delta
 
 
 def target_outputs(spec: TaskSpec, xs: Matrix, phis: Vector) -> Matrix:
@@ -203,6 +203,43 @@ def sample_batch(specs: list[TaskSpec], cfg: DatasetConfig, rng: Rng) -> list[Sa
     return [Sample(task_id, x, y) for task_id, x, y in zip(task_ids.tolist(), xs, ys)]
 
 
+def _floor_sums(specs: list[TaskSpec], cfg: DatasetConfig, n_mc: int) -> Matrix:
+    """Row t: task t's <rho,rho>, <rho,p>, <rho,t>, <p,p>, <p,t>, <t,t> over
+    ceil(n_mc / n_task) fresh samples, divided by their count times d.
+
+    A sample's residual off its base map is rho = delta + noise, so W0* x is
+    never computed; p = B* A* x and t = B* (||A* x|| e2(x)) are its candidate
+    directions. Each block of samples takes its draws in one `_draw_rows`
+    call; u = A* x, its plane and delta come once per sample from
+    `_target_terms`. The rest stays per sample, one vector at a time, so the
+    sums are independent of `target_outputs` and `build_planes`.
+    """
+    rng = Rng(cfg.seed ^ FLOOR_RNG_SALT)
+    per_task = -(-n_mc // cfg.n_task)  # ceil division keeps tasks balanced
+    step = max(1, DRAW_BLOCK // (2 * cfg.d - cfg.n_task))  # samples per `normals` call
+    zero = np.zeros(cfg.d)
+    stats = []
+    for spec in specs:
+        rr = rp = rt = pp = pt = tt = 0.0
+        for start in range(0, per_task, step):
+            m = min(step, per_task - start)
+            xs, noises = _draw_rows(cfg, np.full(m, spec.task_id), rng)
+            noises *= cfg.noise_std
+            for x, noise in zip(xs, noises):
+                u, plane, delta = _target_terms(spec, x)
+                rho = delta + noise
+                plain = spec.b_star @ u
+                turned = zero if plane.degenerate else spec.b_star @ (plane.u_norm * plane.e2)
+                rr += rho @ rho
+                rp += rho @ plain
+                rt += rho @ turned
+                pp += plain @ plain
+                pt += plain @ turned
+                tt += turned @ turned
+        stats.append(np.array([rr, rp, rt, pp, pt, tt]) / (per_task * cfg.d))
+    return np.array(stats)
+
+
 def analytic_baseline_floor(specs: list[TaskSpec], cfg: DatasetConfig, n_mc: int) -> float:
     """Best mean squared error reachable by scaling alone, via grid search.
 
@@ -215,42 +252,13 @@ def analytic_baseline_floor(specs: list[TaskSpec], cfg: DatasetConfig, n_mc: int
     per-component squared error over n_mc fresh noisy samples. Deliberately
     brute force so it shares nothing with the trainer it certifies.
 
-    Each block of samples takes its draws in one `_draw_rows` call. Each
-    sample's base W0* x, u = A* x and plane come from `_target_terms`, the
-    terms `target_output` sums, so they are computed once per sample. The
-    rest stays per sample, one vector at a time, so the floor is an oracle
-    independent of `target_outputs` and `build_planes`.
+    Targets and candidates share the base map W0* x, so each grid point's
+    error needs only each task's six `_floor_sums`, taken off the base map.
     """
     if n_mc < 10**4:
         raise ConfigError(f"analytic_baseline_floor: n_mc must be >= 1e4, got {n_mc}")
-    rng = Rng(cfg.seed ^ FLOOR_RNG_SALT)
-    per_task = -(-n_mc // cfg.n_task)  # ceil division keeps tasks balanced
-    step = max(1, DRAW_BLOCK // (2 * cfg.d - cfg.n_task))  # samples per `normals` call
-    zero = np.zeros(cfg.d)
-
-    # Candidate deltas decompose as cos(angle) * plain + sin(angle) * turned,
-    # with plain = B* A* x and turned = B* (||A* x|| e2(x)).
-    stats = []
-    for spec in specs:
-        # <rho,rho>, <rho,p>, <rho,t>, <p,p>, <p,t>, <t,t>
-        rr = rp = rt = pp = pt = tt = 0.0
-        for start in range(0, per_task, step):
-            m = min(step, per_task - start)
-            xs, noises = _draw_rows(cfg, np.full(m, spec.task_id), rng)
-            noises *= cfg.noise_std
-            for x, noise in zip(xs, noises):
-                base, u, plane, delta = _target_terms(spec, x)
-                rho = (base + delta) + noise - base
-                plain = spec.b_star @ u
-                turned = zero if plane.degenerate else spec.b_star @ (plane.u_norm * plane.e2)
-                rr += rho @ rho
-                rp += rho @ plain
-                rt += rho @ turned
-                pp += plain @ plain
-                pt += plain @ turned
-                tt += turned @ turned
-        stats.append(np.array([rr, rp, rt, pp, pt, tt]) / (per_task * cfg.d))
-
+    stats = _floor_sums(specs, cfg, n_mc)
+    # A candidate delta is cos(angle) * p + sin(angle) * t, scaled per task.
     angles = np.arange(-math.pi, math.pi, FLOOR_ANGLE_STEP)
     scales = np.arange(0.0, FLOOR_SCALE_MAX + 1e-12, FLOOR_SCALE_STEP)
     cos_a, sin_a = np.cos(angles), np.sin(angles)

@@ -185,9 +185,12 @@ def test_floor_deterministic():
 
 # Floors as the oracle recorded them when it drew each sample's inputs and
 # noise in two `normals` calls, as reprs, which name each double exactly.
-# Block draws take the same stream, so they must give the same bits.
+# Block draws take the same stream, so they must give the same bits. The r=2
+# entry was 1532.94932780176 while the residual was (W0* x + delta) + noise -
+# W0* x; as delta + noise, which equals it in exact arithmetic, it moved in
+# its last bits. The other floors kept theirs.
 PINNED_FLOORS = [
-    (dict(r=2, noise_std=0.1, seed=41), "1532.94932780176"),
+    (dict(r=2, noise_std=0.1, seed=41), "1532.9493278017603"),
     (dict(r=4, d=40, n_task=3, sep=2.0, noise_std=0.1, seed=43), "1375.9081074453934"),
     (dict(n_task=1, noise_std=2.0, seed=21), "4.003722290040514"),
     (dict(d=8, n_task=3, sep=2.0, noise_std=0.5, seed=47), "567.4181659752273"),
@@ -244,3 +247,54 @@ def test_floor_builds_one_plane_per_sample(monkeypatch):
     monkeypatch.setattr(synth, "build_plane", counted)
     assert repr(analytic_baseline_floor(specs, cfg, 10_000)) == expected
     assert calls == cfg.n_task * math.ceil(10_000 / cfg.n_task) == 10_002
+
+
+def test_floor_reads_no_base_map():
+    # Targets and candidates share the base map W0* x, so the floor never
+    # computes it: with every entry of W0* NaN it keeps its pinned bits.
+    kwargs, expected = PINNED_FLOORS[3]
+    cfg = config(**kwargs)
+    specs = [
+        replace(spec, w0_star=np.full((cfg.d, cfg.d), np.nan))
+        for spec in make_rotation_separable_tasks(cfg, Rng(cfg.seed))
+    ]
+    assert repr(analytic_baseline_floor(specs, cfg, 10_000)) == expected
+
+
+# Each task's six normalized sums (rho.rho, rho.p, rho.t, p.p, p.t, t.t) of
+# `synth._floor_sums`, as reprs: the floor's exact inputs, and the values a
+# batched floor must reproduce. A config with a zero anchor has every plane
+# degenerate, so its t sums are exactly zero.
+FLOOR_SUMS = [
+    (dict(r=2, noise_std=0.1, seed=41), False, [
+        ["3065.8660317936524", "15.919606938421037", "-3065.824049860915",
+         "3970.395735524681", "-15.919329456051052", "3065.7921071844826"],
+        ["3105.9662038628762", "-8.08503535975633", "3105.9528105778513",
+         "4013.5792531435004", "-8.140635934415437", "3105.949400238635"],
+    ]),
+    (dict(r=4, d=40, n_task=3, sep=2.0, noise_std=0.1, seed=43), False, [
+        ["2055.591589969959", "-935.1825442761584", "-1832.631509663334",
+         "2256.837206704776", "-4.376333412467987", "2017.4312936608255"],
+        ["2254.5801880211066", "2254.571835354005", "-4.413802931788875",
+         "2254.5734080116686", "-4.411813287316705", "2043.254555683279"],
+        ["2072.117630593589", "-936.3531070516268", "1850.2503069100594",
+         "2245.240325162388", "-2.194466730401066", "2033.7892897862962"],
+    ]),
+    (dict(d=8, n_task=3, sep=2.0, noise_std=0.5, seed=47), True, [
+        ["923.8595645448346", "923.647060440825", "0.0", "923.6814165885818", "0.0", "0.0"],
+        ["918.6967190048862", "918.585958874039", "0.0", "918.7229312366375", "0.0", "0.0"],
+        ["913.487294847901", "913.2740032851871", "0.0", "913.3099875794862", "0.0", "0.0"],
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "kwargs, zero_anchor, expected", FLOOR_SUMS, ids=["r2", "d40r4", "degenerate"]
+)
+def test_floor_sums_match_recorded_values(kwargs, zero_anchor, expected):
+    cfg = config(**kwargs)
+    specs = make_rotation_separable_tasks(cfg, Rng(cfg.seed))
+    if zero_anchor:
+        specs = [replace(spec, q_star=np.zeros(cfg.r)) for spec in specs]
+    sums = synth._floor_sums(specs, cfg, 10_000)
+    assert [[repr(value) for value in row] for row in sums.tolist()] == expected

@@ -50,7 +50,7 @@ def parse_seeds(text: str) -> list[int]:
         lo, _, hi = part.strip().partition("-")
         first, last = int(lo), int(hi or lo)
         if first < 0 or last < first:
-            raise ValueError(f"bad seed range {part!r}")
+            raise ValueError(f"bad range {part!r}")
         seeds.extend(range(first, last + 1))
     return seeds
 
@@ -135,27 +135,40 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 @contextlib.contextmanager
-def checkouts(rev: str):
-    """(parent, change): the files of `rev` and a copy of the working tree,
-    side by side in a temporary directory removed on exit."""
+def scratch_checkouts(**revs: str | None):
+    """For each keyword, a directory of that name holding the files of its
+    revision, or a copy of the working tree for None; the directories, in
+    order, sit side by side in a temporary directory removed on exit."""
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    parent, change = tmp / "parent", tmp / "change"
     try:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
-                                 check=True, capture_output=True).stdout
-        parent.mkdir()
-        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
-        listed = subprocess.run(
-            ["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
-            check=True, capture_output=True, text=True,
-        ).stdout
-        for name in filter(None, listed.split("\0")):
-            if (ROOT / name).is_file():  # a deleted tracked file is still listed
-                (change / name).parent.mkdir(parents=True, exist_ok=True)
-                shutil.copy2(ROOT / name, change / name)
-        yield parent, change
+        for name, rev in revs.items():
+            (tmp / name).mkdir()
+            if rev is None:
+                copy_working_tree(tmp / name)
+            else:
+                archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                                         check=True, capture_output=True).stdout
+                subprocess.run(["tar", "-x", "-C", str(tmp / name)], input=archive, check=True)
+        yield [tmp / name for name in revs]
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+
+
+def copy_working_tree(dest: Path) -> None:
+    """Copy the working tree's tracked and untracked, not ignored, files into `dest`."""
+    listed = subprocess.run(
+        ["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        check=True, capture_output=True, text=True,
+    ).stdout
+    for name in filter(None, listed.split("\0")):
+        if (ROOT / name).is_file():  # a deleted tracked file is still listed
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
+
+
+def checkouts(rev: str):
+    """(parent, change): the files of `rev` and a copy of the working tree."""
+    return scratch_checkouts(parent=rev, change=None)
 
 
 def main(argv=None) -> int:
