@@ -331,6 +331,11 @@ def forward_batch(layer: AdapterLayer, xs: Matrix) -> tuple[Matrix, BatchCache]:
     cosine and sine are taken per value with the same scalar functions, so
     the per-sample `forward` is the oracle of this path.
     """
+    return _forward_batch(layer, xs, None)
+
+
+def _forward_batch(layer: AdapterLayer, xs: Matrix, base: Matrix | None):
+    """`forward_batch`, on `base` as the row-wise products W0 x of xs when given."""
     config = layer.config
     if xs.ndim != 2 or xs.shape[1] != config.d:
         raise ShapeError(f"forward_batch: input shape {xs.shape} does not match d={config.d}")
@@ -377,7 +382,7 @@ def forward_batch(layer: AdapterLayer, xs: Matrix) -> tuple[Matrix, BatchCache]:
     for i, span in spans:
         deltas[order[span]] = rowwise_matvec(layer.experts[i].b, pairs.rotated[span])
     deltas = deltas.reshape(selected.shape + (config.d,))
-    ys = rowwise_matvec(layer.w0, xs)
+    ys = rowwise_matvec(layer.w0, xs) if base is None else base
     for p in range(config.k):
         ys = ys + g[:, p : p + 1] * deltas[:, p]
     cache = BatchCache(config, xs, selected, g, theta, deltas, pairs, mlp_pre, mlp_hidden)

@@ -140,9 +140,10 @@ def _mix(z: int) -> int:
 class Rng:
     """SplitMix64 stream.
 
-    The algorithm is fixed bit-for-bit so that equal seeds reproduce equal
-    draw sequences on every platform. Instances are stateful and must not be
-    shared across concurrent callers.
+    Equal seeds give equal u64 and uniform draws on every platform. The last
+    bits of a normal follow numpy's SIMD dispatch of np.log and np.cos: with
+    its AVX-512 targets off, about 1.6 in 1000 normals moved by 1-2 ulp.
+    Instances are stateful and must not be shared across concurrent callers.
     """
 
     def __init__(self, seed: int):

@@ -138,13 +138,18 @@ def target_outputs(spec: TaskSpec, xs: Matrix, phis: Vector) -> Matrix:
     The generating arrays come from `spec`, whose own `phi` is not read, so
     one call serves rows of every task that shares them.
     """
+    return _target_outputs(spec, xs, phis, rowwise_matvec(spec.w0_star, xs))
+
+
+def _target_outputs(spec: TaskSpec, xs: Matrix, phis: Vector, base: Matrix) -> Matrix:
+    """`target_outputs` on `base`, the row-wise products W0* x of xs."""
     us = rowwise_matvec(spec.a_star, xs)
     planes = build_planes(us, spec.q_star)
     phis = phis.tolist()  # math's cos and sin, as apply_rotation takes them
     turned = apply_rotations(
         us, planes, np.array([math.cos(p) for p in phis]), np.array([math.sin(p) for p in phis])
     )
-    return rowwise_matvec(spec.w0_star, xs) + rowwise_matvec(spec.b_star, turned)
+    return base + rowwise_matvec(spec.b_star, turned)
 
 
 def _draw_rows(cfg: DatasetConfig, task_ids: np.ndarray, rng: Rng) -> tuple[Matrix, Matrix]:
@@ -172,11 +177,16 @@ def draw_batch(
     """One balanced batch as arrays: task ids (m,), inputs and targets (m, d).
 
     Tasks are interleaved round-robin, with exact equal counts. One
-    `_draw_rows` call and one `target_outputs` call equal a loop that draws
+    `_draw_rows` call and one `target_outputs` pass equal a loop that draws
     and targets one sample at a time. The targets need the specs to share
     their generating arrays, as the specs of `make_rotation_separable_tasks`
     do; other specs raise ValueError.
     """
+    return _draw_batch(specs, cfg, rng)[:3]
+
+
+def _draw_batch(specs: list[TaskSpec], cfg: DatasetConfig, rng: Rng):
+    """`draw_batch`'s arrays, then the targets' base products W0* x, (m, d)."""
     if not specs:
         raise ValueError("draw_batch: specs must be nonempty")
     shared = specs[0]
@@ -192,9 +202,10 @@ def draw_batch(
     task_ids = np.array([spec.task_id for spec in specs] * per_task)
     phis = np.array([spec.phi for spec in specs] * per_task)
     xs, noise = _draw_rows(cfg, task_ids, rng)
-    ys = target_outputs(shared, xs, phis)
+    base = rowwise_matvec(shared.w0_star, xs)
+    ys = _target_outputs(shared, xs, phis, base)
     ys += cfg.noise_std * noise
-    return task_ids, xs, ys
+    return task_ids, xs, ys, base
 
 
 def sample_batch(specs: list[TaskSpec], cfg: DatasetConfig, rng: Rng) -> list[Sample]:

@@ -23,9 +23,10 @@ import numpy as np
 # importable here because benchmarks/spans.py patches them on this module to
 # time them.
 from .adapter import AdapterLayer, forward, forward_batch, trainable_params  # noqa: F401
+from .adapter import _forward_batch
 from .autograd import backward, backward_batch, zero_gradients  # noqa: F401
 from .numkit import ConfigError, Rng
-from .synth import DatasetConfig, Sample, TaskSpec, draw_batch, sample_batch  # noqa: F401
+from .synth import DatasetConfig, Sample, TaskSpec, _draw_batch, sample_batch  # noqa: F401
 
 
 EVAL_BLOCK_VALUES = 16384  # entries of one (samples, d) array in `evaluate`
@@ -81,6 +82,10 @@ def _row_mse(err: np.ndarray) -> np.ndarray:
     return np.mean(err**2, axis=1)
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def evaluate(layer: AdapterLayer, samples: list[Sample]) -> dict[int, float]:
     """Mean squared error per output component, grouped by task.
 
@@ -117,15 +122,18 @@ def train(
     TrainingDiverged on a non-finite training loss or held-out MSE, or when a
     parameter is not finite after the last update: under SGD a non-finite
     value never turns finite again, so one check at the end covers every step.
+    When `layer.w0` has the raw bits of the specs' W0* (-0.0 is not 0.0), each
+    step computes the products W0 x once, for the targets and the prediction.
     """
     d = layer.config.d
     batch_size = data_cfg.batch_size
     metrics: list[MetricsRecord] = []
     thetas: list[ThetaRecord] = []
     params = trainable_params(layer)
+    shared_w0 = bool(specs) and _same_bits(layer.w0, specs[0].w0_star)  # W0 is frozen
     for step in range(train_cfg.steps):
-        task_ids, xs, ys = draw_batch(specs, data_cfg, data_rng)
-        y_hat, cache = forward_batch(layer, xs)
+        task_ids, xs, ys, base = _draw_batch(specs, data_cfg, data_rng)
+        y_hat, cache = _forward_batch(layer, xs, base if shared_w0 else None)
         err = y_hat - ys
         loss = 0.0
         for mse in _row_mse(err).tolist():  # summed in sample order, as floats

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rotmole import synth, trainer
+from rotmole import adapter, synth, trainer
 from rotmole.adapter import (
     THETA_LIMIT,
     AdapterConfig,
@@ -25,7 +25,7 @@ from rotmole.adapter import (
     trainable_params,
 )
 from rotmole.autograd import backward, backward_batch, randomize_layer, zero_gradients
-from rotmole.numkit import ConfigError, Rng
+from rotmole.numkit import ConfigError, Rng, rowwise_matvec
 from rotmole.rotation import apply_rotation, apply_rotations, build_plane, build_planes
 from rotmole.synth import (
     DatasetConfig,
@@ -505,9 +505,29 @@ def per_sample_train(layer, specs, data_cfg, train_cfg, data_rng, eval_samples, 
     return metrics, thetas
 
 
+# How a layer's W0 relates to the generator's W0*. `train` computes W0 x once
+# per step for the targets and the prediction only when the two have the same
+# raw bits, so the signed-zero copy, equal in value, must take the unshared path.
+W0_RELATIONS = ["generator", "equal_copy", "signed_zero", "own"]
+
+
+def relate_w0(relation, layer, w0_star):
+    """Give `layer` a W0 in `relation` to `w0_star`: the array itself, a copy,
+    a copy whose one planted 0.0 is -0.0, or the layer's own random W0."""
+    if relation == "generator":
+        layer.w0 = w0_star
+    elif relation == "equal_copy":
+        layer.w0 = w0_star.copy()
+    elif relation == "signed_zero":
+        w0_star[0, 0] = 0.0
+        layer.w0 = w0_star.copy()
+        layer.w0[0, 0] = -0.0
+
+
+@pytest.mark.parametrize("relation", W0_RELATIONS)
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("arm", ARMS)
-def test_train_and_evaluate_match_per_sample(arm, shape):
+def test_train_and_evaluate_match_per_sample(arm, shape, relation):
     d, n, k, n_task = shape
     config = arm_config(arm, d, n, k)
     data_cfg = DatasetConfig(d=d, r=config.r, n_task=n_task, noise_std=0.01,
@@ -520,8 +540,10 @@ def test_train_and_evaluate_match_per_sample(arm, shape):
         specs = make_rotation_separable_tasks(data_cfg, rng)
         eval_samples = per_sample_batch(specs, data_cfg, rng)
         layer = random_layer(config, seed=63)
-        layer.w0 = specs[0].w0_star.copy()
+        relate_w0(relation, layer, specs[0].w0_star)
+        frozen = layer.w0.tobytes(), specs[0].w0_star.tobytes()
         out = run_training(layer, specs, data_cfg, train_cfg, rng, eval_samples)
+        assert (layer.w0.tobytes(), specs[0].w0_star.tobytes()) == frozen
         metrics, thetas = out[1:] if run_training is train else out
         runs.append((layer, metrics, thetas, eval_samples, rng.next_u64()))
     (layer, metrics, thetas, held_out, state), (ref_layer, ref_metrics, ref_thetas, _, ref_state) = runs
@@ -534,6 +556,43 @@ def test_train_and_evaluate_match_per_sample(arm, shape):
     for name, arr in trainable_params(layer).items():
         assert same_bits(arr, ref_params[name]), name
     assert repr(evaluate(layer, held_out)) == repr(per_sample_evaluate(layer, held_out))
+
+
+@pytest.mark.parametrize("relation, products_per_step", [
+    ("generator", 1), ("equal_copy", 1), ("signed_zero", 2), ("own", 2),
+])
+def test_train_shares_base_products_only_with_the_same_bits(monkeypatch, relation,
+                                                            products_per_step):
+    d, steps = 16, 3
+    data_cfg = DatasetConfig(d=d, r=3, n_task=4, noise_std=0.01,
+                             samples_per_task_per_batch=4, phi_separation=1.0, seed=81)
+    rng = Rng(data_cfg.seed)
+    specs = make_rotation_separable_tasks(data_cfg, rng)
+    layer = random_layer(AdapterConfig(d=d, r=3, n=4, k=2, mode="rotmole"), seed=82)
+    relate_w0(relation, layer, specs[0].w0_star)
+    base_products = []
+
+    def counting(m, xs):
+        if m.shape == (d, d):
+            base_products.append(m)
+        return rowwise_matvec(m, xs)
+
+    monkeypatch.setattr(synth, "rowwise_matvec", counting)
+    monkeypatch.setattr(adapter, "rowwise_matvec", counting)
+    train(layer, specs, data_cfg, TrainConfig(steps=steps, seed=83), rng, [])
+    assert len(base_products) == products_per_step * steps
+    base_products.clear()
+    assert train(layer, specs, data_cfg, TrainConfig(steps=0, seed=83), rng, [])[1:] == ([], [])
+    assert base_products == []
+
+
+def test_train_on_empty_specs_fails_only_at_a_step():
+    data_cfg = DatasetConfig(d=16, r=3, n_task=2, noise_std=0.01,
+                             samples_per_task_per_batch=4, phi_separation=1.0, seed=84)
+    layer = random_layer(AdapterConfig(d=16, r=3, n=2, k=1, mode="rotmole"), seed=85)
+    assert train(layer, [], data_cfg, TrainConfig(steps=0), Rng(86), [])[1:] == ([], [])
+    with pytest.raises(ValueError, match="draw_batch: specs must be nonempty"):
+        train(layer, [], data_cfg, TrainConfig(steps=2), Rng(86), [])
 
 
 def test_evaluate_in_blocks_matches_per_sample(monkeypatch):
