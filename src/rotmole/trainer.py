@@ -22,8 +22,7 @@ import numpy as np
 # batched path, and sample_batch the list form of draw_batch. They stay
 # importable here because benchmarks/spans.py patches them on this module to
 # time them.
-from .adapter import AdapterLayer, forward, forward_batch, trainable_params  # noqa: F401
-from .adapter import _forward_batch
+from .adapter import AdapterLayer, _forward_batch, forward, trainable_params  # noqa: F401
 from .autograd import backward, backward_batch, zero_gradients  # noqa: F401
 from .numkit import ConfigError, Rng
 from .synth import DatasetConfig, Sample, TaskSpec, _draw_batch, sample_batch  # noqa: F401
@@ -82,8 +81,9 @@ def _row_mse(err: np.ndarray) -> np.ndarray:
     return np.mean(err**2, axis=1)
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:  # a product's bits follow the strides too
+    layout = a.dtype == b.dtype == np.float64 and (a.shape, a.strides) == (b.shape, b.strides)
+    return layout and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def evaluate(layer: AdapterLayer, samples: list[Sample]) -> dict[int, float]:
@@ -98,7 +98,7 @@ def evaluate(layer: AdapterLayer, samples: list[Sample]) -> dict[int, float]:
     mses = np.empty(len(samples))
     for start in range(0, len(samples), block):
         chunk = samples[start : start + block]
-        y_hat, _ = forward_batch(layer, np.array([s.x for s in chunk]))
+        y_hat, _ = _forward_batch(layer, np.array([s.x for s in chunk]), None)
         mses[start : start + len(chunk)] = _row_mse(y_hat - np.array([s.y for s in chunk]))
     task_ids = np.array([s.task_id for s in samples], dtype=np.intp)
     totals, counts = np.bincount(task_ids, weights=mses), np.bincount(task_ids)
@@ -122,8 +122,8 @@ def train(
     TrainingDiverged on a non-finite training loss or held-out MSE, or when a
     parameter is not finite after the last update: under SGD a non-finite
     value never turns finite again, so one check at the end covers every step.
-    When `layer.w0` has the raw bits of the specs' W0* (-0.0 is not 0.0), each
-    step computes the products W0 x once, for the targets and the prediction.
+    When `layer.w0` has the layout and raw bits of the specs' W0* (-0.0 is
+    not 0.0), each step computes W0 x once, for the targets and the prediction.
     """
     d = layer.config.d
     batch_size = data_cfg.batch_size

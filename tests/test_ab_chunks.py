@@ -66,7 +66,7 @@ def test_main_prints_one_line_from_both_checkouts(tmp_path, monkeypatch, capsys)
     packages = [sides[side][0] for side in ab_chunks.SIDES]
 
     def setup(rm, wl, seed):
-        assert (wl, seed) == ("wl", 7)
+        assert (wl, seed) == ("wl", ab_chunks.SEED)
         side = ab_chunks.SIDES[packages.index(rm)]
         return [SimpleNamespace(name=name, layer=(side, name), specs=[], dataset=None,
                                 train_cfg=None, data_rng=None) for name in ab_chunks.ARMS]
@@ -78,8 +78,7 @@ def test_main_prints_one_line_from_both_checkouts(tmp_path, monkeypatch, capsys)
                         lambda *dirs: loaded.append(dirs) or (harness, packages))
     monkeypatch.setattr(ab_chunks, "perf_counter", lambda: clock[0])
     monkeypatch.setattr(ab_chunks.signal, "signal", lambda *args: None)
-    argv = ["--parent", "f3f1f25", "--workload", "wide-train", "--arm", "mlp", "--reps", "4",
-            "--seed", "7"]
+    argv = ["--parent", "f3f1f25", "--workload", "wide-train", "--arm", "mlp", "--reps", "4"]
     assert ab_chunks.main(argv) == 0
     assert made == ["f3f1f25"] and loaded == [(tmp_path / "parent", tmp_path / "change")]
     assert {layer for _, layer in calls} == {("parent", "mlp"), ("change", "mlp")}
@@ -94,7 +93,6 @@ def test_main_prints_one_line_from_both_checkouts(tmp_path, monkeypatch, capsys)
 @pytest.mark.parametrize("flags", [
     ["--arm", "rotmole", "--reps", "0"],
     ["--arm", "rotmole", "--reps", "x"],
-    ["--arm", "rotmole", "--reps", "5", "--seed", "-1"],
     ["--arm", "scaling_only", "--reps", "5"],
     ["--arm", "rotmole", "--reps", "5", "--workload", "wide-trian"],
     ["--arm", "rotmole"],

@@ -507,17 +507,21 @@ def per_sample_train(layer, specs, data_cfg, train_cfg, data_rng, eval_samples, 
 
 # How a layer's W0 relates to the generator's W0*. `train` computes W0 x once
 # per step for the targets and the prediction only when the two have the same
-# raw bits, so the signed-zero copy, equal in value, must take the unshared path.
-W0_RELATIONS = ["generator", "equal_copy", "signed_zero", "own"]
+# raw bits in the same layout, so the signed-zero copy, equal in value, and the
+# Fortran-ordered copy, whose products round differently, take the unshared path.
+W0_RELATIONS = ["generator", "equal_copy", "fortran_copy", "signed_zero", "own"]
 
 
 def relate_w0(relation, layer, w0_star):
     """Give `layer` a W0 in `relation` to `w0_star`: the array itself, a copy,
-    a copy whose one planted 0.0 is -0.0, or the layer's own random W0."""
+    a Fortran-ordered copy, a copy whose one planted 0.0 is -0.0, or the
+    layer's own random W0."""
     if relation == "generator":
         layer.w0 = w0_star
     elif relation == "equal_copy":
         layer.w0 = w0_star.copy()
+    elif relation == "fortran_copy":
+        layer.w0 = np.asfortranarray(w0_star)
     elif relation == "signed_zero":
         w0_star[0, 0] = 0.0
         layer.w0 = w0_star.copy()
@@ -559,7 +563,7 @@ def test_train_and_evaluate_match_per_sample(arm, shape, relation):
 
 
 @pytest.mark.parametrize("relation, products_per_step", [
-    ("generator", 1), ("equal_copy", 1), ("signed_zero", 2), ("own", 2),
+    ("generator", 1), ("equal_copy", 1), ("fortran_copy", 2), ("signed_zero", 2), ("own", 2),
 ])
 def test_train_shares_base_products_only_with_the_same_bits(monkeypatch, relation,
                                                             products_per_step):

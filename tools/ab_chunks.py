@@ -8,7 +8,7 @@ as faster or slower. This tool times the code alone, with no probe. It
 imports the package of `--parent` and then the working tree's, each fresh,
 into this one process, from checkouts made as `tools/bench_pairs.py` makes
 them (a temporary directory, removed on exit). It builds the benchmark's
-set-up of `--arm` on each (`harness.setup`, data seed `--seed`), runs one
+set-up of `--arm` on each (`harness.setup`, data seed `SEED`), runs one
 untimed chunk per side, and then `--reps` timed pairs of chunks, each a
 `train` call of the workload's `chunk_steps` steps with no evaluation list,
 as a benchmark round runs them. The side that runs first alternates from
@@ -37,6 +37,7 @@ import replay_rounds  # noqa: E402
 
 ARMS = ("rotmole", "rotmole_r2", "scaling", "mlp")  # the arms `harness.setup` builds
 SIDES = ("parent", "change")
+SEED = 1  # the set-up's data seed
 
 
 def load_packages(parent: Path, change: Path):
@@ -88,12 +89,9 @@ def main(argv=None) -> int:
                         choices=[workload["name"] for workload in benchmark["workloads"]])
     parser.add_argument("--arm", required=True, choices=ARMS)
     parser.add_argument("--reps", type=int, required=True, help="timed pairs of chunks")
-    parser.add_argument("--seed", type=int, default=1, help="the set-up's data seed")
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be >= 1")
-    if args.seed < 0:
-        parser.error("--seed must be >= 0")
     # SIGTERM unwinds like Ctrl-C, so the checkouts are removed either way.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     try:
@@ -102,7 +100,7 @@ def main(argv=None) -> int:
             wl = harness.WORKLOADS[args.workload]
             sides = {}
             for side, rm in zip(SIDES, packages):
-                arms = {arm.name: arm for arm in harness.setup(rm, wl, args.seed)}
+                arms = {arm.name: arm for arm in harness.setup(rm, wl, SEED)}
                 sides[side] = (rm, arms[args.arm])
             times = time_chunks(sides, args.reps)
     except subprocess.CalledProcessError as e:
