@@ -116,7 +116,8 @@ class AdapterLayer:
 
 @dataclass
 class ForwardCache:
-    """Every intermediate the backward pass needs, keyed to one forward call."""
+    """Every intermediate of one `forward` call. `backward` reads its input,
+    selection and config; the per-sample oracle in tests/oracle.py the rest."""
 
     config: AdapterConfig
     x: Vector

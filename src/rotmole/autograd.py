@@ -1,26 +1,26 @@
 """Analytic reverse-mode gradients for the adapter forward pass.
 
-backward() differentiates one forward call exactly: through the expert
-matrices, the in-plane rotation (including the Gram-Schmidt plane
-construction), the angle gate's sigmoid, and the renormalized softmax of the
-scaling gate. Top-k selection is a hard, non-differentiable switch: selected
-experts get gradients through their softmax values, unselected experts get
-exactly zero, and the finite-difference oracle freezes the selection so both
-sides differentiate the same function.
+backward_batch() differentiates one adapter.forward_batch call exactly:
+through the expert matrices, the in-plane rotation (including the
+Gram-Schmidt plane construction), the angle gate's sigmoid, and the
+renormalized softmax of the scaling gate. Top-k selection is a hard,
+non-differentiable switch: selected experts get gradients through their
+softmax values, unselected experts get exactly zero, and the
+finite-difference oracle freezes the selection so both sides differentiate
+the same function. It reads the batch's (row, expert) pairs sorted by expert
+(adapter.ExpertRows): the angle gate and the plane backward run once over all
+pairs, and a loop over experts keeps only the d-sized products and one
+row-order sum per gradient array on each expert's slice.
 
 Gradients are plain dicts keyed by the group names of
 adapter.trainable_params ("a0", "b0", ..., "w_g", "w_theta", "q", "mlp_w1",
 "mlp_w2").
 
-backward_batch() differentiates one adapter.forward_batch call and returns
-the sum of the per-row backward() dicts, bit for bit; backward() stays as its
-oracle. It reads the batch's (row, expert) pairs sorted by expert
-(adapter.ExpertRows): the angle gate and the plane backward run once over all
-pairs, and a loop over experts keeps only the d-sized products and one
-row-order sum per gradient array on each expert's slice.
-
-grad_check() certifies backward() against central differences; its verdict,
-compare_gradients(), allows for the rounding of the central difference.
+backward() is a one-row backward_batch, so there is one reverse pass, the
+one `train` runs, and grad_check(), which certifies backward() against
+central differences, certifies the training path; its verdict,
+compare_gradients(), allows for the rounding of the central difference. The
+per-sample chain rule, the oracle of backward_batch, is in tests/oracle.py.
 """
 
 from __future__ import annotations
@@ -39,20 +39,16 @@ from .adapter import (
     ForwardCache,
     draw_param,
     forward,
+    forward_batch,
     init_adapter,
     trainable_params,
 )
-from .numkit import (
-    ConfigError,
-    Matrix,
-    Rng,
-    Vector,
-    rowwise_dot,
-    rowwise_matvec,
-    sigmoid,
-    sum_rows,
-)
-from .rotation import DEGENERATE_EPS, rotation_matrix_2d
+from .numkit import ConfigError, Matrix, Rng, Vector, rowwise_dot, rowwise_matvec, sum_rows
+
+# sigmoid and rotation_matrix_2d are unused here. They stay importable because
+# benchmarks/spans.py patches them on this module to time them.
+from .numkit import sigmoid  # noqa: F401
+from .rotation import DEGENERATE_EPS, rotation_matrix_2d  # noqa: F401
 
 Gradients = Dict[str, np.ndarray]
 
@@ -66,79 +62,27 @@ def zero_gradients(layer: AdapterLayer) -> Gradients:
 
 
 def backward(layer: AdapterLayer, cache: ForwardCache, dl_dy: Vector) -> Gradients:
-    """Chain dl_dy (the loss gradient at the output) back to every trainable array."""
+    """Chain dl_dy (the loss gradient at the output) back to every trainable
+    array, as `backward_batch` on the one-row batch of `cache.x`. A cache
+    pinned by `force_selected` to a selection other than the layer's top-k
+    is refused: the one-row batch would differentiate the top-k instead."""
     config = layer.config
     if cache.config != config:
         raise ValueError("backward: cache was produced by a layer with a different config")
     if dl_dy.shape != (config.d,) or cache.x.shape != (config.d,):
         raise ValueError("backward: gradient/input dimension does not match the layer")
-    grads = zero_gradients(layer)
-    decision = cache.decision
-    x = cache.x
-    k = len(decision.selected)
-    gamma = np.zeros(k)  # dL/dg per selected expert
-
-    for pos, i in enumerate(decision.selected):
-        gamma[pos] = float(dl_dy @ cache.deltas[pos])
-        g_i = float(decision.g[pos])
-        rot = cache.rotated[pos]
-        u = cache.us[pos]
-        grads[f"b{i}"] += g_i * np.outer(dl_dy, rot)
-        rot_bar = g_i * (layer.experts[i].b.T @ dl_dy)
-        theta = float(decision.theta[pos])
-        theta_bar = 0.0
-        if config.mode != "rotmole":
-            u_bar = rot_bar
-        elif config.r == 2:
-            c, s = math.cos(theta), math.sin(theta)
-            theta_bar = float(
-                rot_bar @ np.array([-s * u[0] - c * u[1], c * u[0] - s * u[1]])
-            )
-            u_bar = rotation_matrix_2d(theta).T @ rot_bar
-        else:
-            plane = cache.planes[pos]
-            if plane.degenerate:
-                u_bar = rot_bar
-            else:
-                e1, e2 = plane.e1, plane.e2
-                norm_u, proj, resid_norm = plane.u_norm, plane.q_dot_e1, plane.resid_norm
-                c, s = math.cos(theta), math.sin(theta)
-                theta_bar = float(rot_bar @ (-s * u + (c * norm_u) * e2))
-                e2_bar = (s * norm_u) * rot_bar
-                norm_u_bar = s * float(rot_bar @ e2)
-                resid_bar = (e2_bar - float(e2_bar @ e2) * e2) / resid_norm
-                q_vec = layer.router.q[i]
-                grads["q"][i] += resid_bar - float(resid_bar @ e1) * e1
-                e1_bar = -float(resid_bar @ e1) * q_vec - proj * resid_bar
-                u_bar = (
-                    c * rot_bar
-                    + norm_u_bar * e1
-                    + (e1_bar - float(e1_bar @ e1) * e1) / norm_u
-                )
-        grads[f"a{i}"] += np.outer(u_bar, x)
-        if config.mode == "rotmole" and theta_bar != 0.0:
-            sig = sigmoid(float(cache.theta_logits[pos]))
-            t_bar = theta_bar * 2.0 * math.pi * sig * (1.0 - sig)
-            grads["w_theta"][:, i] += t_bar * x
-
-    # Scaling gate. The full-softmax denominator cancels under renormalization,
-    # so g is exactly a softmax over the selected logits alone: unselected
-    # logits get an exact zero, selected ones the restricted-softmax jacobian.
-    g = decision.g
-    logits_bar = np.zeros(config.n)
-    logits_bar[list(decision.selected)] = g * (gamma - float(g @ gamma))
-    if config.mode == "mlp_gate":
-        grads["mlp_w2"] += np.outer(cache.mlp_hidden, logits_bar)
-        hidden_bar = layer.router.mlp_w2 @ logits_bar
-        pre_bar = hidden_bar * (cache.mlp_pre > 0.0)
-        grads["mlp_w1"] += np.outer(x, pre_bar)
-    else:
-        grads["w_g"] += np.outer(x, logits_bar)
-    return grads
+    _, batch = forward_batch(layer, cache.x[None, :])
+    if tuple(batch.selected[0].tolist()) != tuple(cache.decision.selected):
+        raise ValueError(
+            "backward: cache selection differs from the layer's top-k "
+            "(pinned by force_selected to another expert set)"
+        )
+    return backward_batch(layer, batch, dl_dy[None, :])
 
 
 def backward_batch(layer: AdapterLayer, cache: BatchCache, dl_dy: Matrix) -> Gradients:
-    """Sum over rows of `backward(layer, cache_j, dl_dy[j])`, bit for bit.
+    """Gradients of a batch: the sum over rows j of each row's gradients
+    under dl_dy[j], bit for bit as summing the per-sample chain rule's dicts.
 
     Works on the expert-sorted pairs of `cache.pairs`. The angle gate and
     the plane backward run once over all pairs; a loop over experts does the
@@ -178,7 +122,7 @@ def backward_batch(layer: AdapterLayer, cache: BatchCache, dl_dy: Matrix) -> Gra
         else:
             qs = layer.router.q.take(pairs.experts, axis=0)
             u_bar, theta_bar, q_bar = _plane_backward(pairs, qs, rot_bar)
-        # Pairs that backward() skips (theta_bar = 0) add exact zeros here.
+        # Pairs the per-sample chain rule skips (theta_bar = 0) add exact zeros.
         t_bar = theta_bar * 2.0 * math.pi * pairs.sig * (1.0 - pairs.sig)
 
     pair_logits_bar = logits_bar.take(order)
@@ -214,7 +158,7 @@ def backward_batch(layer: AdapterLayer, cache: BatchCache, dl_dy: Matrix) -> Gra
 def _plane_backward(
     pairs: ExpertRows, qs: Matrix, rot_bar: Matrix
 ) -> tuple[Matrix, Vector, Matrix]:
-    """Row-wise form of backward()'s path through the in-plane rotation and
+    """Row-wise form of the per-sample path through the in-plane rotation and
     the Gram-Schmidt plane, over all pairs; `qs` holds each pair's anchor.
     Returns dL/du, dL/dtheta and the anchor gradient term per pair.
     Degenerate pairs rotate as the identity, so they pass rot_bar through and
@@ -308,7 +252,8 @@ def grad_check(
     h: float = GRADCHECK_H,
     tol: float = GRADCHECK_TOL,
 ) -> CheckReport:
-    """Compare backward() against central differences of a squared-error loss.
+    """Compare backward(), a one-row backward_batch, against central
+    differences of a squared-error loss.
 
     The finite-difference side evaluates with the expert selection frozen to
     the unperturbed forward's choice; `compare_gradients` gives the verdict.

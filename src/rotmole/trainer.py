@@ -7,8 +7,8 @@ distribution analysis.
 
 Training and evaluation run the whole batch at once through
 adapter.forward_batch and autograd.backward_batch. Their results equal, bit
-for bit, a loop of the per-sample forward and backward over the batch, which
-stay as the oracle that certifies them.
+for bit, a loop of the per-sample forward and of the per-sample chain rule in
+tests/oracle.py over the batch, which certifies them.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# forward, backward and zero_gradients are the per-sample oracle of the
-# batched path, and sample_batch the list form of draw_batch. They stay
-# importable here because benchmarks/spans.py patches them on this module to
-# time them.
+# forward is the per-sample oracle of the batched forward, backward a one-row
+# backward_batch and not an oracle, and sample_batch the list form of
+# draw_batch. These names and zero_gradients stay importable here because
+# benchmarks/spans.py patches them on this module to time them.
 from .adapter import AdapterLayer, _forward_batch, forward, trainable_params  # noqa: F401
 from .autograd import backward, backward_batch, zero_gradients  # noqa: F401
 from .numkit import ConfigError, Rng

@@ -68,6 +68,25 @@ def test_backward_rejects_gradient_of_wrong_shape():
         backward(layer, cache, np.zeros(5))
 
 
+@pytest.mark.parametrize("mode, r", [("rotmole", 3), ("rotmole", 2), ("scaling_only", 3),
+                                     ("mlp_gate", 3)])
+def test_backward_refuses_a_cache_pinned_to_another_expert_set(mode, r):
+    # backward differentiates the one-row batch of cache.x, which takes the
+    # layer's own top-k; a cache pinned to another set would get its gradient.
+    layer, rng = make_layer(mode=mode, r=r, n=4, k=2)
+    x, dl = rng.normals(6), rng.normals(6)
+    _, cache = forward(layer, x)
+    top_k = cache.decision.selected
+    other = tuple(i for i in range(4) if i not in top_k)
+    _, pinned = forward(layer, x, force_selected=other)
+    with pytest.raises(ValueError, match="differs from the layer's top-k"):
+        backward(layer, pinned, dl)
+    _, pinned = forward(layer, x, force_selected=top_k)
+    grads, pinned_grads = backward(layer, cache, dl), backward(layer, pinned, dl)
+    for name in grads:
+        assert np.array_equal(grads[name].view(np.uint64), pinned_grads[name].view(np.uint64))
+
+
 def test_backward_batch_rejects_mismatched_cache_or_gradient():
     layer, rng = make_layer()
     other, _ = make_layer(d=8, n=2, k=1, seed=3)

@@ -2,7 +2,8 @@
 
 The batched forward, backward, sampler, training loop and evaluation must
 reproduce the per-sample functions bit for bit, which is what keeps the
-acceptance goldens exact. Arrays are compared on their raw bit patterns and
+acceptance goldens exact. The per-sample backward is the chain rule in
+tests/oracle.py. Arrays are compared on their raw bit patterns and
 records on their reprs (a float's repr names its double exactly), because
 == and np.array_equal take -0.0 and +0.0 as equal.
 """
@@ -24,7 +25,7 @@ from rotmole.adapter import (
     route,
     trainable_params,
 )
-from rotmole.autograd import backward, backward_batch, randomize_layer, zero_gradients
+from rotmole.autograd import backward_batch, randomize_layer, zero_gradients
 from rotmole.numkit import ConfigError, Rng, rowwise_matvec
 from rotmole.rotation import apply_rotation, apply_rotations, build_plane, build_planes
 from rotmole.synth import (
@@ -44,6 +45,10 @@ from rotmole.trainer import (
     lr_schedule,
     train,
 )
+
+# The per-sample chain rule, not rotmole.backward, which is a one-row
+# backward_batch and so no independent oracle.
+from oracle import backward
 
 # (d, n, k, n_task): the acceptance shape, k = 2 of 4 experts, k = 2 of 8
 # experts, and k = n = 4, where every expert takes every row.

@@ -5,18 +5,26 @@ with a timing wrapper; a pair that no longer resolves breaks traced benchmark
 runs (`benchmarks/run.py --trace 1`). `benchmarks/harness.py` builds its
 held-out sets from `sample_batch`'s lists of `Sample`, trains with an empty
 eval set, keeps the `ThetaRecord`s `train` returns, and certifies gradients
-with `forward`, `backward` and `autograd.finite_diff_grad`. These tests read
-`benchmarks/` and change nothing there.
+with `forward`, `backward` and `autograd.finite_diff_grad`. `backward` is a
+one-row `backward_batch`, so the benchmark's `certify` and directional check
+hold the training path's reverse pass to central differences. A traced round
+runs every patch and inspector of `spans.py`, so one traced run must measure.
+These tests read `benchmarks/` and change nothing there.
 """
 
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
 import rotmole  # noqa: F401  (loads every module the table names)
 
-BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARKS = ROOT / "benchmarks"
 
 
 def test_span_patches_resolve(monkeypatch):
@@ -65,3 +73,28 @@ def test_harness_certify_passes(monkeypatch):
         assert checks.fd_disagreement(**trial) <= 1.0, name
         names = list(rotmole.adapter.trainable_params(rotmole.init_adapter(config, rotmole.Rng(0))))
         assert list(trial["analytic"]) == names and list(trial["numeric"]) == names, name
+
+
+# `measure` imports the package afresh (`harness.fresh_import`), which would
+# replace the `rotmole` modules the other tests hold, so it runs in its own
+# process. It leaves out `execute`'s checks: their verdicts depend on the
+# round count (ROADMAP item 1).
+TRACED_RUN = """
+import json, math
+import harness
+wl = harness.WORKLOADS["wide-train"].tiny()
+m = harness.measure(wl, seed=1, seconds=0.0, trace=True)
+metrics = harness.per_layer(m.tracer, m.first_counts, m.rounds, wl, m.st.arms)
+print(json.dumps({name: value for name, value in metrics.items() if math.isfinite(value)}))
+"""
+
+
+def test_traced_run_measures_every_per_layer_metric():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(BENCHMARKS)]))
+    env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", TRACED_RUN], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    finite = json.loads(proc.stdout.splitlines()[-1])
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    assert [n for n in names if n not in finite] == []

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rotmole import cli
-from rotmole.adapter import load_layer
+from rotmole import autograd, cli
+from rotmole.adapter import AdapterConfig, load_layer, mlp_hidden_dim
 from rotmole.cli import load_experiment_config, main
 from rotmole.numkit import ConfigError
 
@@ -276,6 +276,44 @@ def test_gradcheck_zero_tolerance_fails(tmp_path, capsys):
     assert main(["gradcheck", "--config", str(path), "--trials", "1", "--tol", "0"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["all_pass"] is False
+
+
+# The four arms of a d=16, n=4, k=2 layer, as (mode, r); mlp_gate is sized
+# to match rotmole's router.
+PLANTED_ARMS = [("rotmole", 4), ("rotmole", 2), ("scaling_only", 4), ("mlp_gate", 4)]
+
+
+def planted_gradcheck(tmp_path, capsys, mode, r):
+    """`rotmole gradcheck --trials 3` on one arm; its exit code."""
+    path = write_config(tmp_path, d=16, r=r, n=4, k=2, mode=mode)
+    if mode == "mlp_gate":
+        doc = json.loads(path.read_text())
+        doc["adapter"]["mlp_hidden"] = mlp_hidden_dim(AdapterConfig(d=16, r=r, n=4, k=2))
+        path.write_text(json.dumps(doc))
+    code = main(["gradcheck", "--config", str(path), "--trials", "3"])
+    capsys.readouterr()
+    return code
+
+
+@pytest.mark.parametrize("mode, r", PLANTED_ARMS)
+def test_gradcheck_fails_bugs_planted_in_the_training_backward(tmp_path, capsys, monkeypatch,
+                                                              mode, r):
+    # The CLI's certificate differentiates through backward_batch, the code
+    # train runs: a bug planted there alone fails it.
+    assert planted_gradcheck(tmp_path, capsys, mode, r) == 0
+    matvec, plane_backward = autograd.rowwise_matvec, autograd._plane_backward
+
+    def anchor_off(*args):
+        u_bar, theta_bar, q_bar = plane_backward(*args)
+        return u_bar, theta_bar, q_bar * (1.0 + 1e-3)
+
+    with monkeypatch.context() as m:
+        m.setattr(autograd, "rowwise_matvec", lambda *a: matvec(*a) * (1.0 + 1e-3))  # B_i^T dy
+        assert planted_gradcheck(tmp_path, capsys, mode, r) == 1
+    if (mode, r) == ("rotmole", 4):
+        with monkeypatch.context() as m:
+            m.setattr(autograd, "_plane_backward", anchor_off)
+            assert planted_gradcheck(tmp_path, capsys, mode, r) == 1
 
 
 def test_paramcount_output(tmp_path, capsys):
