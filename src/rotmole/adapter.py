@@ -228,10 +228,10 @@ def _gate_logits(layer: AdapterLayer, x: Vector):
     """Gate logits plus MLP intermediates (None outside mlp_gate mode)."""
     router = layer.router
     if layer.config.mode == "mlp_gate":
-        pre = x @ router.mlp_w1
+        pre = x.dot(router.mlp_w1)
         hidden = np.maximum(pre, 0.0)
-        return hidden @ router.mlp_w2, pre, hidden
-    return x @ router.w_g, None, None
+        return hidden.dot(router.mlp_w2), pre, hidden
+    return x.dot(router.w_g), None, None
 
 
 def _clamp_angle(theta: float) -> float:
@@ -255,7 +255,7 @@ def _route_full(layer: AdapterLayer, x: Vector, force_selected=None):
     g = softmax(logits.take(selected))
     if config.mode == "rotmole":
         w_theta = layer.router.w_theta
-        t_list = [float(x @ w_theta[:, i]) for i in selected]
+        t_list = [float(x.dot(w_theta[:, i])) for i in selected]
         angles = [_clamp_angle(2.0 * math.pi * sigmoid(t) - math.pi) for t in t_list]
         theta_logits, theta = np.array(t_list), np.array(angles)
     else:
@@ -286,16 +286,16 @@ def forward(
     us, planes, rotated, deltas = [], [], [], []
     for i, g_i, theta in zip(decision.selected, decision.g.tolist(), decision.theta.tolist()):
         expert = layer.experts[i]
-        u = expert.a @ x
+        u = expert.a.dot(x)
         plane = None
         if not rotating:
             rot = u
         elif config.r == 2:
-            rot = rotation_matrix_2d(theta) @ u
+            rot = rotation_matrix_2d(theta).dot(u)
         else:
             plane = build_plane(u, layer.router.q[i])
             rot = apply_rotation(u, plane, theta)
-        delta = expert.b @ rot
+        delta = expert.b.dot(rot)
         y += g_i * delta
         us.append(u)
         planes.append(plane)

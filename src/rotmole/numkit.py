@@ -203,31 +203,35 @@ class Rng:
 def matvec(m: Matrix, v: Vector) -> Vector:
     if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
         raise ShapeError(f"matvec: {m.shape} incompatible with {v.shape}")
-    return m @ v
+    return m.dot(v)
 
 
 def l2_norm(v: Vector) -> float:
-    return math.sqrt(v @ v)  # rounds as np.sqrt does: both are IEEE square roots
+    return math.sqrt(v.dot(v))  # rounds as np.sqrt does: both are IEEE square roots
 
 
-# Row-wise forms of the one-vector products `m @ x`, `x @ m` and `a @ b`.
-# Each gives, row for row, the bits of the one-vector product it replaces:
-# numpy runs a stacked matmul as one BLAS call per row with the same shapes
-# and strides, whereas `xs @ m.T` or einsum would block the sums differently.
+# Row-wise forms of the one-vector products `m.dot(x)`, `x.dot(m)` and
+# `a.dot(b)`. Each gives, row for row, the bits of the one-vector product it
+# replaces: numpy runs a stacked matmul as one BLAS call per row with the same
+# shapes and strides, whereas `xs @ m.T` or einsum would block the sums
+# differently. `.dot` and `@` make the same BLAS call, so they agree, for
+# vectors of any stride and C- or F-contiguous matrices (tests/test_numkit.py);
+# on a matrix strided on both axes or along its columns, `@` skips BLAS.
 
 
 def rowwise_matvec(m: Matrix, xs: Matrix) -> Matrix:
-    """Row j is `m @ xs[j]`."""
+    """Row j is `m.dot(xs[j])`."""
     return np.matmul(m, xs[:, :, None])[:, :, 0]
 
 
 def rowwise_vecmat(xs: Matrix, m: Matrix) -> Matrix:
-    """Row j is `xs[j] @ m`; with a one-column m, also the strided dot `xs[j] @ m[:, 0]`."""
+    """Row j is `xs[j].dot(m)`; with a one-column m, also the strided dot
+    `xs[j].dot(m[:, 0])`."""
     return np.matmul(xs[:, None, :], m)[:, 0, :]
 
 
 def rowwise_dot(a: Matrix, b: Matrix) -> Vector:
-    """Entry j is `a[j] @ b[j]`."""
+    """Entry j is `a[j].dot(b[j])`."""
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 

@@ -58,7 +58,7 @@ def build_plane(u: Vector, q: Vector) -> RotationPlane:
     if u_norm <= DEGENERATE_EPS:
         return RotationPlane(None, None, True)
     e1 = u / u_norm
-    proj = float(q @ e1)
+    proj = float(q.dot(e1))
     resid = q - proj * e1
     resid_norm = l2_norm(resid)
     if resid_norm <= DEGENERATE_EPS:
@@ -98,7 +98,7 @@ def build_planes(us: Matrix, qs: np.ndarray) -> PlaneBatch:
     u_norm = np.sqrt(rowwise_dot(us, us))
     short = u_norm <= DEGENERATE_EPS
     e1 = us / np.where(short, 1.0, u_norm)[:, None]
-    proj = np.matmul(qs[..., None, :], e1[:, :, None])[:, 0, 0]  # q @ e1 per row, as build_plane
+    proj = np.matmul(qs[..., None, :], e1[:, :, None])[:, 0, 0]  # build_plane's q.dot(e1), per row
     resid = qs - proj[:, None] * e1
     resid_norm = np.sqrt(rowwise_dot(resid, resid))
     degenerate = short | (resid_norm <= DEGENERATE_EPS)
@@ -159,7 +159,7 @@ def _orthogonal_unit(e1: Vector) -> Vector:
     axis = int(np.argmin(np.abs(e1)))
     v = np.zeros_like(e1)
     v[axis] = 1.0
-    v = v - float(v @ e1) * e1
+    v = v - float(v.dot(e1)) * e1
     return v / l2_norm(v)
 
 
@@ -178,13 +178,13 @@ def decompose_transform(u: Vector, v: Vector) -> tuple[float, float, RotationPla
     if plane.degenerate:
         # v is (anti-)parallel to u: pure scaling, or scaling plus a half turn.
         e1 = u / nu
-        if float(v @ e1) > 0.0:
+        if float(v.dot(e1)) > 0.0:
             return nv / nu, 0.0, plane
         e2 = _orthogonal_unit(e1)
-        half_turn = RotationPlane(e1, e2, False, u_norm=nu, q_dot_e1=float(v @ e1))
+        half_turn = RotationPlane(e1, e2, False, u_norm=nu, q_dot_e1=float(v.dot(e1)))
         return nv / nu, math.pi, half_turn
-    u1, u2 = float(u @ plane.e1), float(u @ plane.e2)
-    v1, v2 = float(v @ plane.e1), float(v @ plane.e2)
+    u1, u2 = float(u.dot(plane.e1)), float(u.dot(plane.e2))
+    v1, v2 = float(v.dot(plane.e1)), float(v.dot(plane.e2))
     angle = math.atan2(v2, v1) - math.atan2(u2, u1)
     if angle <= -math.pi:
         angle += 2.0 * math.pi

@@ -121,15 +121,15 @@ def make_rotation_separable_tasks(cfg: DatasetConfig, rng: Rng) -> list[TaskSpec
 
 def _target_terms(spec: TaskSpec, x: Vector) -> tuple[Vector, RotationPlane, Vector]:
     """u = A* x, u's plane and the delta B* R(phi) u that `target_output` adds to W0* x."""
-    u = spec.a_star @ x
+    u = spec.a_star.dot(x)
     plane = build_plane(u, spec.q_star)
-    return u, plane, spec.b_star @ apply_rotation(u, plane, spec.phi)
+    return u, plane, spec.b_star.dot(apply_rotation(u, plane, spec.phi))
 
 
 def target_output(spec: TaskSpec, x: Vector) -> Vector:
     """Noiseless target: base map plus the task's rotated low-rank delta."""
     _, _, delta = _target_terms(spec, x)
-    return spec.w0_star @ x + delta
+    return spec.w0_star.dot(x) + delta
 
 
 def target_outputs(spec: TaskSpec, xs: Matrix, phis: Vector) -> Matrix:
@@ -239,14 +239,14 @@ def _floor_sums(specs: list[TaskSpec], cfg: DatasetConfig, n_mc: int) -> Matrix:
             for x, noise in zip(xs, noises):
                 u, plane, delta = _target_terms(spec, x)
                 rho = delta + noise
-                plain = spec.b_star @ u
-                turned = zero if plane.degenerate else spec.b_star @ (plane.u_norm * plane.e2)
-                rr += rho @ rho
-                rp += rho @ plain
-                rt += rho @ turned
-                pp += plain @ plain
-                pt += plain @ turned
-                tt += turned @ turned
+                plain = spec.b_star.dot(u)
+                turned = zero if plane.degenerate else spec.b_star.dot(plane.u_norm * plane.e2)
+                rr += rho.dot(rho)
+                rp += rho.dot(plain)
+                rt += rho.dot(turned)
+                pp += plain.dot(plain)
+                pt += plain.dot(turned)
+                tt += turned.dot(turned)
         stats.append(np.array([rr, rp, rt, pp, pt, tt]) / (per_task * cfg.d))
     return np.array(stats)
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rotmole.adapter import AdapterConfig, mlp_hidden_dim
 from rotmole.numkit import (
     ConfigError,
     Rng,
@@ -10,6 +11,9 @@ from rotmole.numkit import (
     kaiming_uniform,
     l2_norm,
     matvec,
+    rowwise_dot,
+    rowwise_matvec,
+    rowwise_vecmat,
     sigmoid,
     softmax,
     sum_rows,
@@ -95,6 +99,75 @@ def test_matvec_hand_case():
 def test_matvec_shape_mismatch():
     with pytest.raises(ShapeError):
         matvec(np.zeros((2, 3)), np.ones(2))
+
+
+# The per-sample path writes its one-vector products as `.dot`, the batched
+# path as the `rowwise_*` forms, and both must give the bits of `@`. Over 400
+# random shapes with sides of 2 to 299 (numpy 2.4.6, OpenBLAS, one thread),
+# every vector.vector product at strides 1-3 and every product with a C- or
+# F-contiguous matrix gave equal bits. A matrix strided on both axes, or along
+# its columns (`m[:, ::2]`), matched in at most 2 of 400 as matrix.vector or
+# vector.matrix: `@` runs those through numpy's own loop, not BLAS. So the
+# tests below cover C and F order, which is all the package makes
+# (test_trainer.py checks that), with vectors of stride 1 and 2.
+DOT_N = 8  # experts, as at wide-train
+
+
+def assert_same_bits(*values):
+    first = np.asarray(values[0]).view(np.uint64)
+    for value in values[1:]:
+        assert np.array_equal(np.asarray(value).view(np.uint64), first)
+
+
+def strided_rows(rng, count, size, stride):
+    """`count` vectors of `size` normals, each `stride` entries apart."""
+    return rng.normals(count * size * stride).reshape(count, size * stride)[:, ::stride]
+
+
+LAYOUTS = pytest.mark.parametrize(
+    "d, r, order", [(d, r, o) for d in (2, 16, 32, 256) for r in (2, 3, 4) for o in "CF"]
+)
+
+
+@LAYOUTS
+def test_dot_matrix_vector_bits_match_matmul_and_rowwise(d, r, order):
+    rng = Rng(d * 10 + r)
+    # A x, B u, W0 x and a 2-D rotation of u
+    for rows, cols in ((r, d), (d, r), (d, d), (2, 2)):
+        m = np.asarray(rng.normals(rows * cols).reshape(rows, cols), order=order)
+        for stride in (1, 2):
+            xs = strided_rows(rng, 3, cols, stride)
+            for x, row in zip(xs, rowwise_matvec(m, xs)):
+                assert_same_bits(m.dot(x), m @ x, matvec(m, x), row)
+
+
+@LAYOUTS
+def test_dot_vector_matrix_bits_match_matmul_and_rowwise(d, r, order):
+    rng = Rng(d * 10 + r)
+    h = mlp_hidden_dim(AdapterConfig(d=d, r=r, n=DOT_N, k=2))
+    # x w_g, x mlp_w1 and hidden mlp_w2
+    for rows, cols in ((d, DOT_N), (d, h), (h, DOT_N)):
+        m = np.asarray(rng.normals(rows * cols).reshape(rows, cols), order=order)
+        for stride in (1, 2):
+            xs = strided_rows(rng, 3, rows, stride)
+            for x, row in zip(xs, rowwise_vecmat(xs, m)):
+                assert_same_bits(x.dot(m), x @ m, row)
+
+
+@LAYOUTS
+def test_dot_vector_vector_bits_match_matmul_and_rowwise(d, r, order):
+    rng = Rng(d * 10 + r)
+    for size in (r, d):
+        for stride in (1, 2):
+            a, b = strided_rows(rng, 3, size, stride), strided_rows(rng, 3, size, stride)
+            for u, v, entry in zip(a, b, rowwise_dot(a, b)):
+                assert_same_bits(u.dot(v), u @ v, entry)
+    # the angle-gate logit: x against the column w_theta[:, i], strided in C order
+    w_theta = np.asarray(rng.normals(d * DOT_N).reshape(d, DOT_N), order=order)
+    xs = strided_rows(rng, 3, d, 1)
+    for i in range(DOT_N):
+        for x, entry in zip(xs, rowwise_vecmat(xs, w_theta[:, i : i + 1])[:, 0]):
+            assert_same_bits(x.dot(w_theta[:, i]), x @ w_theta[:, i], entry)
 
 
 def test_l2_norm_zero_iff_zero_vector():

@@ -1,9 +1,19 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from rotmole.adapter import AdapterConfig, forward, init_adapter, trainable_params
+from rotmole.adapter import (
+    AdapterConfig,
+    forward,
+    init_adapter,
+    layer_from_doc,
+    layer_to_doc,
+    load_layer,
+    trainable_params,
+)
+from rotmole.autograd import randomize_layer
 from rotmole.numkit import ConfigError, Rng
 from rotmole.synth import DatasetConfig, make_rotation_separable_tasks, sample_batch
 from rotmole.trainer import (
@@ -216,3 +226,34 @@ def test_non_finite_parameter_after_last_update_aborts():
     layer.experts[1].b[0, 0] = math.inf
     with pytest.raises(TrainingDiverged, match="'b1' after the last update"):
         train(layer, specs, data_cfg, train_cfg, rng, eval_samples)
+
+
+@pytest.mark.parametrize("mode", ["scaling_only", "rotmole", "mlp_gate"])
+def test_layer_and_task_arrays_stay_c_contiguous(mode, tmp_path):
+    # The per-sample path's `.dot` products give the bits of `@` and of the
+    # row-wise forms on C- or F-contiguous matrices only (test_numkit.py).
+    def assert_c_contiguous(layer, when):
+        for name, arr in {"w0": layer.w0, **trainable_params(layer)}.items():
+            assert arr.flags.c_contiguous, (when, name)
+
+    config = AdapterConfig(d=10, r=3, n=2, k=1, mode=mode,
+                           mlp_hidden=5 if mode == "mlp_gate" else None)
+    layer = init_adapter(config, Rng(3))
+    assert_c_contiguous(layer, "init_adapter")
+    doc = json.loads(json.dumps(layer_to_doc(layer)))
+    assert_c_contiguous(layer_from_doc(doc), "layer_from_doc")
+    path = tmp_path / "layer.json"
+    path.write_text(json.dumps(doc))
+    assert_c_contiguous(load_layer(path), "load_layer")
+    randomize_layer(layer, Rng(4))
+    assert_c_contiguous(layer, "randomize_layer")
+
+    data_cfg = DatasetConfig(d=10, r=3, n_task=2, noise_std=0.01, samples_per_task_per_batch=4,
+                             phi_separation=math.pi, seed=5)
+    rng = Rng(data_cfg.seed)
+    specs = make_rotation_separable_tasks(data_cfg, rng)
+    for spec in specs:
+        for name in ("w0_star", "a_star", "b_star", "q_star"):
+            assert getattr(spec, name).flags.c_contiguous, name
+    train(layer, specs, data_cfg, TrainConfig(steps=2, lr0=1e-3, seed=6), rng, [])
+    assert_c_contiguous(layer, "train")

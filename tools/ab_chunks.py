@@ -1,23 +1,36 @@
-"""Time the parent's and the working tree's `train` chunks, alternating, in one process.
+"""Time the parent's and the working tree's benchmark units, alternating, in one process.
 
     python3 tools/ab_chunks.py --parent <rev> --workload wide-train --arm rotmole --reps 200
+    python3 tools/ab_chunks.py --parent <rev> --workload small-compare --unit floor \
+        --arm rotmole --reps 40
+    python3 tools/ab_chunks.py --parent <rev> --workload gradcheck-sweep --unit certify --reps 20
 
-`benchmarks/run.py` divides each chunk time by a speed probe, and the probe's
-work does not scale like every workload's chunks: it can read unchanged code
-as faster or slower. This tool times the code alone, with no probe. It
-imports the package of `--parent` and then the working tree's, each fresh,
-into this one process, from checkouts made as `tools/bench_pairs.py` makes
-them (a temporary directory, removed on exit). It builds the benchmark's
-set-up of `--arm` on each (`harness.setup`, data seed `SEED`), runs one
-untimed chunk per side, and then `--reps` timed pairs of chunks, each a
-`train` call of the workload's `chunk_steps` steps with no evaluation list,
-as a benchmark round runs them. The side that runs first alternates from
-pair to pair. Every BLAS pool is pinned to one thread by importing the
-working tree's `benchmarks/run.py` before numpy loads.
+`benchmarks/run.py` divides each unit's time by a speed probe, and the
+probe's work does not scale like every workload's units: it can read
+unchanged code as faster or slower. This tool times the code alone, with no
+probe. It imports the package of `--parent` and then the working tree's,
+each fresh, into this one process, from checkouts made as
+`tools/bench_pairs.py` makes them (a temporary directory, removed on exit).
+It builds the benchmark's set-up on each (`harness.setup`, data seed
+`SEED`), runs one untimed unit per side, and then `--reps` timed pairs of
+units, as a benchmark round runs them. `--unit` picks the unit:
 
-It prints one JSON line: each side's median chunk time in seconds, and the
-median and quartiles of the paired ratio parent time / change time (above 1:
-the change is faster). The exit code is 2 on a usage error.
+- `train` (the default): a `train` call of the workload's `chunk_steps`
+  steps on `--arm`, with no evaluation list;
+- `floor`: `analytic_baseline_floor` of `--arm`'s tasks at `harness.FLOOR_MC`
+  samples;
+- `certify`: every `harness.certify` trial of the workload's gradcheck arms,
+  from the generator a round starts them from, so each unit runs the same
+  trials. It takes no `--arm`.
+
+The side that runs first alternates from pair to pair. Every BLAS pool is
+pinned to one thread by importing the working tree's `benchmarks/run.py`
+before numpy loads.
+
+It prints one JSON line: each side's median unit time in seconds (as
+`parent_chunk_s` and `change_chunk_s`), and the median and quartiles of the
+paired ratio parent time / change time (above 1: the change is faster). The
+exit code is 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -37,7 +50,8 @@ import replay_rounds  # noqa: E402
 
 ARMS = ("rotmole", "rotmole_r2", "scaling", "mlp")  # the arms `harness.setup` builds
 SIDES = ("parent", "change")
-SEED = 1  # the set-up's data seed
+UNITS = ("train", "floor", "certify")
+SEED = 1  # the set-up's data seed; a round's gradcheck generator starts at SEED + 2
 
 
 def load_packages(parent: Path, change: Path):
@@ -56,21 +70,39 @@ def load_packages(parent: Path, change: Path):
     return harness, packages
 
 
-def time_chunks(sides: dict, reps: int) -> dict[str, list[float]]:
-    """Seconds of each side's timed chunks; `sides` maps a side to (package, arm)."""
+def unit(harness, rm, wl, name: str, arm):
+    """The timed unit `name` of package `rm` on workload `wl`, as a call with
+    no arguments; `arm` is the set-up's arm, None for `certify`."""
+    if name == "train":
+        return lambda: rm.train(
+            arm.layer, arm.specs, arm.dataset, arm.train_cfg, arm.data_rng, [])
+    if name == "floor":
+        return lambda: rm.analytic_baseline_floor(arm.specs, arm.dataset, harness.FLOOR_MC)
+    configs = harness.arm_configs(rm, wl, wl.gradcheck_n)
+
+    def certify():
+        rng = rm.Rng(SEED + 2)  # the same trials every unit, as every round
+        for arm_name in wl.gradcheck_arms:
+            for _ in range(wl.gradcheck_trials):
+                harness.certify(rm, configs[arm_name], rng)
+
+    return certify
+
+
+def time_chunks(units: dict, reps: int) -> dict[str, list[float]]:
+    """Seconds of each side's timed units; `units` maps a side to its unit."""
     times = {side: [] for side in SIDES}
     for rep in range(-1, reps):  # rep -1 warms both sides up, untimed
         for side in SIDES if rep % 2 == 0 else SIDES[::-1]:
-            rm, arm = sides[side]
             t0 = perf_counter()
-            rm.train(arm.layer, arm.specs, arm.dataset, arm.train_cfg, arm.data_rng, [])
+            units[side]()
             if rep >= 0:
                 times[side].append(perf_counter() - t0)
     return times
 
 
 def summarize(times: dict[str, list[float]]) -> dict:
-    """Each side's median chunk time, and the spread of the paired ratios
+    """Each side's median unit time, and the spread of the paired ratios
     parent / change (`bench_pairs.spread`)."""
     ratios = [p / c for p, c in zip(times["parent"], times["change"])]
     return {
@@ -87,27 +119,34 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--workload", required=True,
                         choices=[workload["name"] for workload in benchmark["workloads"]])
-    parser.add_argument("--arm", required=True, choices=ARMS)
-    parser.add_argument("--reps", type=int, required=True, help="timed pairs of chunks")
+    parser.add_argument("--unit", choices=UNITS, default="train", help="what each rep times")
+    parser.add_argument("--arm", choices=ARMS, help="the arm of --unit train or floor")
+    parser.add_argument("--reps", type=int, required=True, help="timed pairs of units")
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be >= 1")
+    if (args.arm is None) != (args.unit == "certify"):
+        parser.error("--unit train and floor need --arm; --unit certify takes none")
     # SIGTERM unwinds like Ctrl-C, so the checkouts are removed either way.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     try:
         with bench_pairs.checkouts(args.parent) as checkouts:
             harness, packages = load_packages(*checkouts)
             wl = harness.WORKLOADS[args.workload]
-            sides = {}
+            units = {}
             for side, rm in zip(SIDES, packages):
                 arms = {arm.name: arm for arm in harness.setup(rm, wl, SEED)}
-                sides[side] = (rm, arms[args.arm])
-            times = time_chunks(sides, args.reps)
+                units[side] = unit(harness, rm, wl, args.unit, arms.get(args.arm))
+            times = time_chunks(units, args.reps)
     except subprocess.CalledProcessError as e:
         print(f"error: {' '.join(e.cmd)} exited {e.returncode}", file=sys.stderr)
         return 2
-    print(json.dumps({"workload": args.workload, "arm": args.arm, "parent": args.parent,
-                      **summarize(times)}))
+    label = {"workload": args.workload}
+    if args.unit != "train":
+        label["unit"] = args.unit
+    if args.arm is not None:
+        label["arm"] = args.arm
+    print(json.dumps({**label, "parent": args.parent, **summarize(times)}))
     return 0
 
 
