@@ -3,6 +3,7 @@
 No package is timed here: the tool's runs are about speed, not results.
 """
 
+import ast
 import contextlib
 import importlib.util
 import json
@@ -13,7 +14,8 @@ from types import SimpleNamespace
 import numpy  # noqa: F401  (loaded, as in any pytest run of the suite)
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "ab_chunks.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "ab_chunks.py"
 spec = importlib.util.spec_from_file_location("ab_chunks", TOOL)
 ab_chunks = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(ab_chunks)
@@ -150,18 +152,20 @@ def test_main_prints_one_line_from_both_checkouts(tmp_path, monkeypatch, capsys)
     }
 
 
-@pytest.mark.parametrize("flags, label, per_unit", [
-    (["--unit", "floor", "--arm", "scaling"], {"unit": "floor", "arm": "scaling"}, 1),
-    (["--unit", "certify"], {"unit": "certify"}, 4),  # two arms, two trials each
+@pytest.mark.parametrize("unit, per_unit", [
+    ("floor", 1),
+    ("certify", 4),  # two arms, two trials each
 ])
-def test_main_times_floor_and_certify_units(tmp_path, monkeypatch, capsys, flags, label,
-                                            per_unit):
-    code, calls = run_main(tmp_path, monkeypatch, flags + ["--reps", "2"])
+def test_main_times_floor_and_certify_units(tmp_path, monkeypatch, capsys, unit, per_unit):
+    code, calls = run_main(tmp_path, monkeypatch, ["--unit", unit, "--reps", "2"])
     assert code == 0
-    assert {call[1] for call in calls} == {label["unit"]}
+    assert {call[1] for call in calls} == {unit}
     assert len(calls) == 2 * 3 * per_unit  # both sides, a warm-up and two timed units
+    if unit == "floor":  # on the tasks of the set-up's first arm, as a round
+        assert {call[2] for call in calls} == {("specs", side, ab_chunks.ARMS[0])
+                                               for side in ab_chunks.SIDES}
     assert json.loads(capsys.readouterr().out) == {
-        "workload": "wide-train", **label, "parent": "f3f1f25", "reps": 2,
+        "workload": "wide-train", "unit": unit, "parent": "f3f1f25", "reps": 2,
         "parent_chunk_s": 3.0 * per_unit, "change_chunk_s": 2.0 * per_unit,
         "ratio": {"median": 1.5, "q1": 1.5, "q3": 1.5},
     }
@@ -174,7 +178,8 @@ def test_main_times_floor_and_certify_units(tmp_path, monkeypatch, capsys, flags
     ["--arm", "rotmole", "--reps", "5", "--workload", "wide-trian"],
     ["--arm", "rotmole"],
     ["--reps", "5"],
-    ["--unit", "floor", "--reps", "5"],
+    ["--unit", "floor", "--arm", "rotmole", "--reps", "5"],
+    ["--unit", "train", "--reps", "5"],
     ["--unit", "certify", "--arm", "rotmole", "--reps", "5"],
     ["--unit", "oracle", "--arm", "rotmole", "--reps", "5"],
 ])
@@ -194,3 +199,22 @@ def test_load_packages_refuses_once_numpy_is_loaded(tmp_path):
     with pytest.raises(RuntimeError, match="BLAS"):
         ab_chunks.load_packages(tmp_path / "parent", tmp_path / "change")
     assert sys.path == path
+
+
+def test_certify_unit_copies_the_gradcheck_loop_of_a_round():
+    """The certify unit copies `run_round`'s gradcheck loop, which lives under
+    benchmarks/ and cannot be called alone: the round must still draw its
+    trials, arm by arm, from one generator seeded at the set-up seed + 2."""
+    source = (ROOT / "benchmarks" / "harness.py").read_text()
+    tree = ast.parse(source)
+    run_round = next(node for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "run_round")
+    loop = ast.get_source_segment(source, run_round)
+    steps = ["configs = arm_configs(rm, wl, wl.gradcheck_n)",
+             "gc_rng = rm.Rng(st.seed + 2)",
+             "for name in wl.gradcheck_arms:",
+             "for _ in range(wl.gradcheck_trials):",
+             "certify(rm, configs[name], gc_rng)"]
+    at = [loop.index(step) for step in steps]
+    assert at == sorted(at)
+    assert "arms = setup(rm, wl, seed)" in source  # st.seed is the set-up's seed

@@ -102,14 +102,12 @@ def test_matvec_shape_mismatch():
 
 
 # The per-sample path writes its one-vector products as `.dot`, the batched
-# path as the `rowwise_*` forms, and both must give the bits of `@`. Over 400
-# random shapes with sides of 2 to 299 (numpy 2.4.6, OpenBLAS, one thread),
-# every vector.vector product at strides 1-3 and every product with a C- or
-# F-contiguous matrix gave equal bits. A matrix strided on both axes, or along
-# its columns (`m[:, ::2]`), matched in at most 2 of 400 as matrix.vector or
-# vector.matrix: `@` runs those through numpy's own loop, not BLAS. So the
-# tests below cover C and F order, which is all the package makes
-# (test_trainer.py checks that), with vectors of stride 1 and 2.
+# path as the `rowwise_*` forms, and both must give the bits of `@`. They do
+# for vectors of any stride and for C- or F-contiguous matrices. On a matrix
+# strided on both axes, or along its columns (`m[:, ::2]`), `@` runs numpy's
+# own loop, not BLAS, and may sum in another order. So the tests below cover
+# C and F order, which is all the package makes (test_trainer.py checks
+# that), with vectors of stride 1 and 2.
 DOT_N = 8  # experts, as at wide-train
 
 

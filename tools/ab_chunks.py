@@ -1,8 +1,7 @@
 """Time the parent's and the working tree's benchmark units, alternating, in one process.
 
     python3 tools/ab_chunks.py --parent <rev> --workload wide-train --arm rotmole --reps 200
-    python3 tools/ab_chunks.py --parent <rev> --workload small-compare --unit floor \
-        --arm rotmole --reps 40
+    python3 tools/ab_chunks.py --parent <rev> --workload small-compare --unit floor --reps 40
     python3 tools/ab_chunks.py --parent <rev> --workload gradcheck-sweep --unit certify --reps 20
 
 `benchmarks/run.py` divides each unit's time by a speed probe, and the
@@ -17,11 +16,13 @@ units, as a benchmark round runs them. `--unit` picks the unit:
 
 - `train` (the default): a `train` call of the workload's `chunk_steps`
   steps on `--arm`, with no evaluation list;
-- `floor`: `analytic_baseline_floor` of `--arm`'s tasks at `harness.FLOOR_MC`
-  samples;
+- `floor`: `analytic_baseline_floor` at `harness.FLOOR_MC` samples on the
+  tasks of the set-up's first arm, the floor a round times;
 - `certify`: every `harness.certify` trial of the workload's gradcheck arms,
   from the generator a round starts them from, so each unit runs the same
-  trials. It takes no `--arm`.
+  trials.
+
+Only `train` takes `--arm`.
 
 The side that runs first alternates from pair to pair. Every BLAS pool is
 pinned to one thread by importing the working tree's `benchmarks/run.py`
@@ -72,7 +73,7 @@ def load_packages(parent: Path, change: Path):
 
 def unit(harness, rm, wl, name: str, arm):
     """The timed unit `name` of package `rm` on workload `wl`, as a call with
-    no arguments; `arm` is the set-up's arm, None for `certify`."""
+    no arguments; `arm` is the set-up's arm it runs on, None for `certify`."""
     if name == "train":
         return lambda: rm.train(
             arm.layer, arm.specs, arm.dataset, arm.train_cfg, arm.data_rng, [])
@@ -80,6 +81,9 @@ def unit(harness, rm, wl, name: str, arm):
         return lambda: rm.analytic_baseline_floor(arm.specs, arm.dataset, harness.FLOOR_MC)
     configs = harness.arm_configs(rm, wl, wl.gradcheck_n)
 
+    # A copy of the gradcheck loop of `run_round` in benchmarks/harness.py,
+    # which a tool cannot call; test_ab_chunks.py checks that it still
+    # seeds and orders its trials this way.
     def certify():
         rng = rm.Rng(SEED + 2)  # the same trials every unit, as every round
         for arm_name in wl.gradcheck_arms:
@@ -120,13 +124,13 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True,
                         choices=[workload["name"] for workload in benchmark["workloads"]])
     parser.add_argument("--unit", choices=UNITS, default="train", help="what each rep times")
-    parser.add_argument("--arm", choices=ARMS, help="the arm of --unit train or floor")
+    parser.add_argument("--arm", choices=ARMS, help="the arm of --unit train")
     parser.add_argument("--reps", type=int, required=True, help="timed pairs of units")
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be >= 1")
-    if (args.arm is None) != (args.unit == "certify"):
-        parser.error("--unit train and floor need --arm; --unit certify takes none")
+    if (args.arm is None) == (args.unit == "train"):
+        parser.error("--unit train needs --arm; --unit floor and certify take none")
     # SIGTERM unwinds like Ctrl-C, so the checkouts are removed either way.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     try:
@@ -135,8 +139,12 @@ def main(argv=None) -> int:
             wl = harness.WORKLOADS[args.workload]
             units = {}
             for side, rm in zip(SIDES, packages):
-                arms = {arm.name: arm for arm in harness.setup(rm, wl, SEED)}
-                units[side] = unit(harness, rm, wl, args.unit, arms.get(args.arm))
+                arms = harness.setup(rm, wl, SEED)
+                if args.unit == "floor":
+                    arm = arms[0]  # a round's floor runs on its first arm's tasks
+                else:
+                    arm = {a.name: a for a in arms}.get(args.arm)
+                units[side] = unit(harness, rm, wl, args.unit, arm)
             times = time_chunks(units, args.reps)
     except subprocess.CalledProcessError as e:
         print(f"error: {' '.join(e.cmd)} exited {e.returncode}", file=sys.stderr)
