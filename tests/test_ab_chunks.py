@@ -1,12 +1,16 @@
-"""`tools/ab_chunks.py` on stand-in packages and a stand-in clock.
+"""`tools/ab_chunks.py` on a stand-in harness, and once on the real one.
 
-No package is timed here: the tool's runs are about speed, not results.
+The stand-in tests check the tool's order and arithmetic. The smoke test runs
+one tiny round per side through the real harness and package, so a harness
+that no longer fits the tool fails here by running, not by matching text.
 """
 
-import ast
 import contextlib
 import importlib.util
 import json
+import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -20,168 +24,111 @@ spec = importlib.util.spec_from_file_location("ab_chunks", TOOL)
 ab_chunks = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(ab_chunks)
 
+SPECS = [
+    {"name": "rate", "unit": "samples/s", "better": "higher", "bound": 0.22},
+    {"name": "time", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "absent", "unit": "s", "better": "lower", "bound": 0.25},
+]
+
 
 def test_summary_medians_and_paired_ratios():
-    times = {"parent": [2.0, 4.0, 3.0, 6.0, 5.0], "change": [1.0, 4.0, 2.0, 3.0, 4.0]}
-    assert ab_chunks.summarize(times) == {
-        "reps": 5,
-        "parent_chunk_s": 4.0,
-        "change_chunk_s": 3.0,
-        # ratios 2, 1, 1.5, 2, 1.25: the median ratio is not the ratio of medians
-        "ratio": {"median": 1.5, "q1": 1.25, "q3": 2.0},
+    metrics = {
+        "parent": [{"rate": r, "time": t} for r, t in [(1, 2), (4, 4), (2, 3), (3, 6), (4, 5)]],
+        "change": [{"rate": r, "time": t} for r, t in [(2, 1), (4, 4), (3, 2), (6, 3), (5, 4)]],
+    }
+    metrics["change"].append({"time": 1})  # a rep whose every chunk diverged on the change
+    metrics["parent"].append({"rate": 9, "time": 9})
+    failed = {"parent": 0, "change": 3}
+    assert ab_chunks.summarize(SPECS, metrics, failed) == {
+        "reps": 6,
+        "metrics": {
+            # ratios 2, 1, 1.5, 2, 1.25: the median ratio is not the ratio of medians
+            "rate": {"parent": 3, "change": 4, "ratio": {"median": 1.5, "q1": 1.25, "q3": 2.0},
+                     "change_wins": 4},
+            # parent / change, since lower is better: 2, 1, 1.5, 2, 1.25, 9
+            "time": {"parent": 4.5, "change": 2.5,
+                     "ratio": {"median": 1.75, "q1": 1.3125, "q3": 2.0}, "change_wins": 5},
+        },
+        "failed": failed,
     }
 
 
-def fake_packages(calls, clock, seconds):
-    """A stand-in package per side whose functions record each call and
-    advance `clock` by the side's unit time."""
-    def package(side):
-        def record(*args):
-            calls.append((side,) + args)
-            clock[0] += seconds[side]
-
-        def train(layer, specs, dataset, train_cfg, data_rng, eval_samples):
-            record("train", layer, eval_samples)
-
-        def analytic_baseline_floor(specs, dataset, n_mc):
-            record("floor", specs, dataset, n_mc)
-
-        return SimpleNamespace(train=train, analytic_baseline_floor=analytic_baseline_floor,
-                               Rng=lambda seed: ["rng", side, seed])
-    return {side: package(side) for side in ab_chunks.SIDES}
-
-
-WL = SimpleNamespace(gradcheck_n=3, gradcheck_arms=("rotmole", "mlp"), gradcheck_trials=2)
-
-
-def fake_harness(calls, clock, seconds, packages):
-    """A stand-in harness whose set-up builds one arm per name for each
-    stand-in package, and whose `certify` records the call."""
+def fake_harness(calls):
+    """A stand-in harness, and a stand-in package per side, whose rounds
+    record which side ran them and fail one operation each."""
     def setup(rm, wl, seed):
-        assert (wl, seed) == (WL, ab_chunks.SEED)
-        side = ab_chunks.SIDES[list(packages.values()).index(rm)]
-        return [SimpleNamespace(name=name, layer=(side, name), specs=("specs", side, name),
-                                dataset=("data", side, name), train_cfg=None, data_rng=None)
-                for name in ab_chunks.ARMS]
+        assert (wl, seed) == ("wl", ab_chunks.SEED)
+        return [SimpleNamespace(name="rotmole", side=rm.side)]
 
-    def arm_configs(rm, wl, n):
-        assert (wl, n) == (WL, WL.gradcheck_n)
-        return {name: ("config", name) for name in ab_chunks.ARMS}
+    def run_state(rm, wl, seed, arms, probe, losses, thetas):
+        assert (wl, seed, probe(), losses, thetas) == ("wl", ab_chunks.SEED, 1.0, [],
+                                                      {"rotmole": []})
+        return SimpleNamespace(rm=rm, arms=arms)
 
-    def certify(rm, config, rng):
-        side = ab_chunks.SIDES[list(packages.values()).index(rm)]
-        calls.append((side, "certify", config, rng[2], len(rng) - 3))  # seed, earlier trials
-        rng.append("drawn")  # a trial advances the generator it is given
-        clock[0] += seconds[side]
+    def run_round(st, tracer):
+        assert tracer is None and st.arms[0].side == st.rm.side
+        calls.append(st.rm.side)
+        return SimpleNamespace(side=st.rm.side, failed=1)
 
-    return SimpleNamespace(WORKLOADS={"wide-train": WL}, FLOOR_MC=10_000, setup=setup,
-                           arm_configs=arm_configs, certify=certify)
+    harness = SimpleNamespace(WORKLOADS={"wide-train": "wl"}, setup=setup, RunState=run_state,
+                              run_round=run_round)
+    return harness, [SimpleNamespace(side=side) for side in ab_chunks.SIDES]
+
+
+def fake_figures(seconds):
+    """Figures of a round of side s that took `seconds[s]`."""
+    return lambda harness, wl, arms, r: {
+        "rotmole_train_samples_per_s": 1 / seconds[r.side], "floor_oracle_s": seconds[r.side]}
 
 
 def test_chunks_alternate_sides_after_an_untimed_warm_up(monkeypatch):
-    clock, calls = [0.0], []
-    monkeypatch.setattr(ab_chunks, "perf_counter", lambda: clock[0])
-    seconds = {"parent": 3.0, "change": 2.0}
-
-    def unit(side):
-        def run():
-            calls.append(side)
-            clock[0] += seconds[side]
-        return run
-
-    units = {side: unit(side) for side in seconds}
-    times = ab_chunks.time_chunks(units, 3)
+    calls, seconds = [], {"parent": 3.0, "change": 2.0}
+    harness, packages = fake_harness(calls)
+    monkeypatch.setattr(ab_chunks, "figures", fake_figures(seconds))
+    metrics, failed = ab_chunks.time_rounds(harness, "wl", packages, 3)
     assert calls == ["change", "parent", "parent", "change",
                      "change", "parent", "parent", "change"]
-    assert times == {"parent": [3.0] * 3, "change": [2.0] * 3}
+    assert metrics == {side: [{"rotmole_train_samples_per_s": 1 / s, "floor_oracle_s": s}] * 3
+                       for side, s in seconds.items()}
+    assert failed == {"parent": 3, "change": 3}  # the warm-up rounds' failures do not count
 
 
-def test_units_call_the_package_as_a_round_does():
-    clock, calls = [0.0], []
+def test_main_prints_one_line_from_both_checkouts(tmp_path, monkeypatch, capsys):
+    calls, made, loaded = [], [], []
     seconds = {"parent": 3.0, "change": 2.0}
-    packages = fake_packages(calls, clock, seconds)
-    harness = fake_harness(calls, clock, seconds, packages)
-    rm = packages["change"]
-    arm = {a.name: a for a in harness.setup(rm, WL, ab_chunks.SEED)}["mlp"]
-    ab_chunks.unit(harness, rm, WL, "train", arm)()
-    ab_chunks.unit(harness, rm, WL, "floor", arm)()
-    certify = ab_chunks.unit(harness, rm, WL, "certify", None)
-    certify()
-    certify()
-    names = [name for name in WL.gradcheck_arms for _ in range(WL.gradcheck_trials)]
-    trials = [("change", "certify", ("config", name), ab_chunks.SEED + 2, earlier)
-              for earlier, name in enumerate(names)]
-    assert calls == [
-        ("change", "train", ("change", "mlp"), []),
-        ("change", "floor", ("specs", "change", "mlp"), ("data", "change", "mlp"), 10_000),
-    ] + trials + trials  # each certify unit starts from a fresh generator
-
-
-def run_main(tmp_path, monkeypatch, flags):
-    """`main` on stand-in checkouts and packages, timed by a stand-in clock:
-    its exit code, printed JSON line and recorded calls."""
-    clock, calls, made, loaded = [0.0], [], [], []
+    harness, packages = fake_harness(calls)
 
     @contextlib.contextmanager
     def checkouts(rev):
         made.append(rev)
         yield [tmp_path / "parent", tmp_path / "change"]
 
-    seconds = {"parent": 3.0, "change": 2.0}
-    packages = fake_packages(calls, clock, seconds)
-    harness = fake_harness(calls, clock, seconds, packages)
     monkeypatch.setattr(ab_chunks.bench_pairs, "checkouts", checkouts)
     monkeypatch.setattr(ab_chunks, "load_packages",
-                        lambda *dirs: loaded.append(dirs) or (harness, list(packages.values())))
-    monkeypatch.setattr(ab_chunks, "perf_counter", lambda: clock[0])
+                        lambda *dirs: loaded.append(dirs) or (harness, packages))
+    monkeypatch.setattr(ab_chunks, "figures", fake_figures(seconds))
     monkeypatch.setattr(ab_chunks.signal, "signal", lambda *args: None)
-    code = ab_chunks.main(["--parent", "f3f1f25", "--workload", "wide-train"] + flags)
+    code = ab_chunks.main(["--parent", "f3f1f25", "--workload", "wide-train", "--reps", "4"])
+    assert code == 0
     assert made == ["f3f1f25"] and loaded == [(tmp_path / "parent", tmp_path / "change")]
-    return code, calls
-
-
-def test_main_prints_one_line_from_both_checkouts(tmp_path, monkeypatch, capsys):
-    code, calls = run_main(tmp_path, monkeypatch, ["--arm", "mlp", "--reps", "4"])
-    assert code == 0
-    assert {call[:3] for call in calls} == {("parent", "train", ("parent", "mlp")),
-                                            ("change", "train", ("change", "mlp"))}
+    assert len(calls) == 2 * 5  # both sides, a warm-up and four timed rounds
+    ratio = {"median": 1.5, "q1": 1.5, "q3": 1.5}
     assert json.loads(capsys.readouterr().out) == {
-        "workload": "wide-train", "arm": "mlp", "parent": "f3f1f25", "reps": 4,
-        "parent_chunk_s": 3.0, "change_chunk_s": 2.0,
-        "ratio": {"median": 1.5, "q1": 1.5, "q3": 1.5},
-    }
-
-
-@pytest.mark.parametrize("unit, per_unit", [
-    ("floor", 1),
-    ("certify", 4),  # two arms, two trials each
-])
-def test_main_times_floor_and_certify_units(tmp_path, monkeypatch, capsys, unit, per_unit):
-    code, calls = run_main(tmp_path, monkeypatch, ["--unit", unit, "--reps", "2"])
-    assert code == 0
-    assert {call[1] for call in calls} == {unit}
-    assert len(calls) == 2 * 3 * per_unit  # both sides, a warm-up and two timed units
-    if unit == "floor":  # on the tasks of the set-up's first arm, as a round
-        assert {call[2] for call in calls} == {("specs", side, ab_chunks.ARMS[0])
-                                               for side in ab_chunks.SIDES}
-    assert json.loads(capsys.readouterr().out) == {
-        "workload": "wide-train", "unit": unit, "parent": "f3f1f25", "reps": 2,
-        "parent_chunk_s": 3.0 * per_unit, "change_chunk_s": 2.0 * per_unit,
-        "ratio": {"median": 1.5, "q1": 1.5, "q3": 1.5},
+        "workload": "wide-train", "parent": "f3f1f25", "reps": 4,
+        "metrics": {
+            "rotmole_train_samples_per_s": {"parent": 1 / 3, "change": 1 / 2, "ratio": ratio,
+                                            "change_wins": 4},
+            "floor_oracle_s": {"parent": 3.0, "change": 2.0, "ratio": ratio, "change_wins": 4},
+        },
+        "failed": {"parent": 4, "change": 4},
     }
 
 
 @pytest.mark.parametrize("flags", [
-    ["--arm", "rotmole", "--reps", "0"],
-    ["--arm", "rotmole", "--reps", "x"],
-    ["--arm", "scaling_only", "--reps", "5"],
-    ["--arm", "rotmole", "--reps", "5", "--workload", "wide-trian"],
-    ["--arm", "rotmole"],
-    ["--reps", "5"],
-    ["--unit", "floor", "--arm", "rotmole", "--reps", "5"],
-    ["--unit", "train", "--reps", "5"],
-    ["--unit", "certify", "--arm", "rotmole", "--reps", "5"],
-    ["--unit", "oracle", "--arm", "rotmole", "--reps", "5"],
+    ["--reps", "0"],
+    ["--reps", "x"],
+    ["--reps", "5", "--workload", "wide-trian"],
+    [],
 ])
 def test_main_rejects_bad_arguments_before_any_checkout(monkeypatch, capsys, flags):
     def checkouts(rev):
@@ -201,20 +148,31 @@ def test_load_packages_refuses_once_numpy_is_loaded(tmp_path):
     assert sys.path == path
 
 
-def test_certify_unit_copies_the_gradcheck_loop_of_a_round():
-    """The certify unit copies `run_round`'s gradcheck loop, which lives under
-    benchmarks/ and cannot be called alone: the round must still draw its
-    trials, arm by arm, from one generator seeded at the set-up seed + 2."""
-    source = (ROOT / "benchmarks" / "harness.py").read_text()
-    tree = ast.parse(source)
-    run_round = next(node for node in tree.body
-                     if isinstance(node, ast.FunctionDef) and node.name == "run_round")
-    loop = ast.get_source_segment(source, run_round)
-    steps = ["configs = arm_configs(rm, wl, wl.gradcheck_n)",
-             "gc_rng = rm.Rng(st.seed + 2)",
-             "for name in wl.gradcheck_arms:",
-             "for _ in range(wl.gradcheck_trials):",
-             "certify(rm, configs[name], gc_rng)"]
-    at = [loop.index(step) for step in steps]
-    assert at == sorted(at)
-    assert "arms = setup(rm, wl, seed)" in source  # st.seed is the set-up's seed
+SMOKE = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("ab_chunks", sys.argv[1])
+ab_chunks = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ab_chunks)
+harness, packages = ab_chunks.load_packages(ab_chunks.bench_pairs.ROOT, ab_chunks.bench_pairs.ROOT)
+wl = harness.WORKLOADS["small-compare"].tiny()
+print(json.dumps(ab_chunks.time_rounds(harness, wl, packages, 1)))
+"""
+
+
+def test_rounds_of_the_real_harness_give_every_timed_metric():
+    """One tiny round per side, run by the tool in a process with no numpy
+    loaded: every end-to-end metric but set-up time and peak RSS, which no
+    round measures, comes back finite and positive."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "-c", SMOKE, str(TOOL)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    metrics, failed = json.loads(proc.stdout.splitlines()[-1])
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    timed = {m["name"] for m in benchmark["end_to_end"]} - {"setup_s", "peak_rss_mb"}
+    assert len(timed) == 7
+    for side in ab_chunks.SIDES:
+        [figures] = metrics[side]
+        assert set(figures) == timed
+        assert all(math.isfinite(v) and v > 0 for v in figures.values())
+    assert failed == {"parent": 0, "change": 0}

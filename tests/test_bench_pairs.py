@@ -1,4 +1,5 @@
-"""The summary of `tools/bench_pairs.py`, on hand-made run records.
+"""The summary of `tools/bench_pairs.py`, on hand-made run records, its
+harness loader, and the start-up of every tool under `tools/`.
 
 No benchmark runs here: the script's runs take minutes.
 """
@@ -6,12 +7,16 @@ No benchmark runs here: the script's runs take minutes.
 import contextlib
 import importlib.util
 import json
+import os
 import subprocess
+import sys
 from pathlib import Path
 
+import numpy  # noqa: F401  (loaded, as in any pytest run of the suite)
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+TOOL = TOOLS / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
@@ -187,3 +192,19 @@ def test_main_rejects_an_unknown_workload_before_any_checkout(monkeypatch, capsy
         bench_pairs.main(argv)
     assert exit_info.value.code == 2
     assert "'wide-trian'" in capsys.readouterr().err
+
+
+def test_load_harness_refuses_once_numpy_is_loaded(tmp_path):
+    path = list(sys.path)
+    with pytest.raises(RuntimeError, match="BLAS"):
+        bench_pairs.load_harness(tmp_path)
+    assert sys.path == path
+
+
+@pytest.mark.parametrize("tool", ["bench_pairs", "ab_chunks", "replay_rounds"])
+def test_each_tool_starts(tool):
+    """Each tool imports what it needs on its own, as run from a shell."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(TOOLS / f"{tool}.py"), "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

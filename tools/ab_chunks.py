@@ -1,37 +1,29 @@
-"""Time the parent's and the working tree's benchmark units, alternating, in one process.
+"""Time the parent's and the working tree's benchmark rounds, alternating, in one process.
 
-    python3 tools/ab_chunks.py --parent <rev> --workload wide-train --arm rotmole --reps 200
-    python3 tools/ab_chunks.py --parent <rev> --workload small-compare --unit floor --reps 40
-    python3 tools/ab_chunks.py --parent <rev> --workload gradcheck-sweep --unit certify --reps 20
+    python3 tools/ab_chunks.py --parent <rev> --workload wide-train --reps 40
 
 `benchmarks/run.py` divides each unit's time by a speed probe, and the
 probe's work does not scale like every workload's units: it can read
 unchanged code as faster or slower. This tool times the code alone, with no
 probe. It imports the package of `--parent` and then the working tree's,
 each fresh, into this one process, from checkouts made as
-`tools/bench_pairs.py` makes them (a temporary directory, removed on exit).
-It builds the benchmark's set-up on each (`harness.setup`, data seed
-`SEED`), runs one untimed unit per side, and then `--reps` timed pairs of
-units, as a benchmark round runs them. `--unit` picks the unit:
-
-- `train` (the default): a `train` call of the workload's `chunk_steps`
-  steps on `--arm`, with no evaluation list;
-- `floor`: `analytic_baseline_floor` at `harness.FLOOR_MC` samples on the
-  tasks of the set-up's first arm, the floor a round times;
-- `certify`: every `harness.certify` trial of the workload's gradcheck arms,
-  from the generator a round starts them from, so each unit runs the same
-  trials.
-
-Only `train` takes `--arm`.
-
-The side that runs first alternates from pair to pair. Every BLAS pool is
-pinned to one thread by importing the working tree's `benchmarks/run.py`
+`tools/bench_pairs.py` makes them (a temporary directory, removed on exit),
+and runs both on the working tree's harness. Each side gets the benchmark's
+set-up (`harness.setup`, data seed `SEED`) and a run state whose probe
+always reads 1, so `harness.run_round` returns raw seconds. After one
+untimed round per side, each of `--reps` reps runs one untraced round per
+side; the side that runs first alternates from rep to rep. Every BLAS pool
+is pinned to one thread by importing the working tree's `benchmarks/run.py`
 before numpy loads.
 
-It prints one JSON line: each side's median unit time in seconds (as
-`parent_chunk_s` and `change_chunk_s`), and the median and quartiles of the
-paired ratio parent time / change time (above 1: the change is faster). The
-exit code is 2 on a usage error.
+From each round it derives the timed end-to-end metrics of BENCHMARK.json as
+`harness.execute` derives them from a run's rounds: each arm's training rate
+(from the median of the round's chunks), `eval_samples_per_s`,
+`floor_oracle_s` and `gradcheck_params_per_s`. It prints one JSON line: for
+each metric, each side's median, the median and quartiles of the paired
+per-rep ratio, oriented by the metric's `better` so that above 1 the change
+is better, and the reps the change wins; and each side's summed
+`Round.failed`. The exit code is 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -43,23 +35,19 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import bench_pairs  # noqa: E402
-import replay_rounds  # noqa: E402
 
-ARMS = ("rotmole", "rotmole_r2", "scaling", "mlp")  # the arms `harness.setup` builds
 SIDES = ("parent", "change")
-UNITS = ("train", "floor", "certify")
-SEED = 1  # the set-up's data seed; a round's gradcheck generator starts at SEED + 2
+SEED = 1  # the set-up's data seed
 
 
 def load_packages(parent: Path, change: Path):
     """The change's harness, then the parent's and the change's package, each
     imported fresh; a package's functions keep its own modules after the next
     import replaces them in `sys.modules`."""
-    harness = replay_rounds.load_harness(change)
+    harness = bench_pairs.load_harness(change)
     packages = []
     for checkout in (parent, change):
         src = str(checkout / "src")
@@ -71,50 +59,59 @@ def load_packages(parent: Path, change: Path):
     return harness, packages
 
 
-def unit(harness, rm, wl, name: str, arm):
-    """The timed unit `name` of package `rm` on workload `wl`, as a call with
-    no arguments; `arm` is the set-up's arm it runs on, None for `certify`."""
-    if name == "train":
-        return lambda: rm.train(
-            arm.layer, arm.specs, arm.dataset, arm.train_cfg, arm.data_rng, [])
-    if name == "floor":
-        return lambda: rm.analytic_baseline_floor(arm.specs, arm.dataset, harness.FLOOR_MC)
-    configs = harness.arm_configs(rm, wl, wl.gradcheck_n)
-
-    # A copy of the gradcheck loop of `run_round` in benchmarks/harness.py,
-    # which a tool cannot call; test_ab_chunks.py checks that it still
-    # seeds and orders its trials this way.
-    def certify():
-        rng = rm.Rng(SEED + 2)  # the same trials every unit, as every round
-        for arm_name in wl.gradcheck_arms:
-            for _ in range(wl.gradcheck_trials):
-                harness.certify(rm, configs[arm_name], rng)
-
-    return certify
+def figures(harness, wl, arms: list, r) -> dict:
+    """The timed end-to-end metrics of round `r` of the arms `arms`."""
+    out = {
+        harness.ARM_METRIC[arm.name]:
+            wl.chunk_steps * arm.dataset.batch_size / statistics.median(r.chunk_s[arm.name])
+        for arm in arms if r.chunk_s[arm.name]  # empty when every chunk diverged
+    }
+    out["eval_samples_per_s"] = harness.pooled_rate([r], "eval_s", harness.held_out_sizes(arms))
+    out["floor_oracle_s"] = r.floor_s
+    out["gradcheck_params_per_s"] = harness.pooled_rate([r], "trial_s", r.trial_params)
+    return out
 
 
-def time_chunks(units: dict, reps: int) -> dict[str, list[float]]:
-    """Seconds of each side's timed units; `units` maps a side to its unit."""
-    times = {side: [] for side in SIDES}
+def time_rounds(harness, wl, packages: list, reps: int):
+    """Each side's metrics of its `reps` timed rounds on workload `wl`, and
+    each side's summed failed operations; `packages` are the parent's and
+    the change's."""
+    states = {}
+    for side, rm in zip(SIDES, packages):
+        arms = harness.setup(rm, wl, SEED)
+        states[side] = harness.RunState(rm, wl, SEED, arms, lambda: 1.0, [],
+                                        {arm.name: [] for arm in arms})
+    metrics = {side: [] for side in SIDES}
+    failed = dict.fromkeys(SIDES, 0)
     for rep in range(-1, reps):  # rep -1 warms both sides up, untimed
         for side in SIDES if rep % 2 == 0 else SIDES[::-1]:
-            t0 = perf_counter()
-            units[side]()
+            r = harness.run_round(states[side], None)
             if rep >= 0:
-                times[side].append(perf_counter() - t0)
-    return times
+                metrics[side].append(figures(harness, wl, states[side].arms, r))
+                failed[side] += r.failed
+    return metrics, failed
 
 
-def summarize(times: dict[str, list[float]]) -> dict:
-    """Each side's median unit time, and the spread of the paired ratios
-    parent / change (`bench_pairs.spread`)."""
-    ratios = [p / c for p, c in zip(times["parent"], times["change"])]
-    return {
-        "reps": len(ratios),
-        "parent_chunk_s": statistics.median(times["parent"]),
-        "change_chunk_s": statistics.median(times["change"]),
-        "ratio": bench_pairs.spread(ratios),
-    }
+def summarize(specs: list[dict], metrics: dict[str, list[dict]], failed: dict) -> dict:
+    """For each metric of `specs` (BENCHMARK.json's `end_to_end` list) that
+    both sides' rounds report: each side's median, the spread of the paired
+    ratios (`bench_pairs.spread`), above 1 where the change is better, and
+    the pairs the change wins."""
+    out = {"reps": len(metrics["change"]), "metrics": {}, "failed": failed}
+    for spec in specs:
+        name = spec["name"]
+        pairs = [(p[name], c[name]) for p, c in zip(metrics["parent"], metrics["change"])
+                 if name in p and name in c]
+        if not pairs:
+            continue
+        ratios = [p / c if spec["better"] == "lower" else c / p for p, c in pairs]
+        out["metrics"][name] = {
+            "parent": statistics.median(p for p, _ in pairs),
+            "change": statistics.median(c for _, c in pairs),
+            "ratio": bench_pairs.spread(ratios),
+            "change_wins": sum(ratio > 1 for ratio in ratios),
+        }
+    return out
 
 
 def main(argv=None) -> int:
@@ -123,38 +120,22 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--workload", required=True,
                         choices=[workload["name"] for workload in benchmark["workloads"]])
-    parser.add_argument("--unit", choices=UNITS, default="train", help="what each rep times")
-    parser.add_argument("--arm", choices=ARMS, help="the arm of --unit train")
-    parser.add_argument("--reps", type=int, required=True, help="timed pairs of units")
+    parser.add_argument("--reps", type=int, required=True, help="timed rounds per side")
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be >= 1")
-    if (args.arm is None) == (args.unit == "train"):
-        parser.error("--unit train needs --arm; --unit floor and certify take none")
     # SIGTERM unwinds like Ctrl-C, so the checkouts are removed either way.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     try:
         with bench_pairs.checkouts(args.parent) as checkouts:
             harness, packages = load_packages(*checkouts)
-            wl = harness.WORKLOADS[args.workload]
-            units = {}
-            for side, rm in zip(SIDES, packages):
-                arms = harness.setup(rm, wl, SEED)
-                if args.unit == "floor":
-                    arm = arms[0]  # a round's floor runs on its first arm's tasks
-                else:
-                    arm = {a.name: a for a in arms}.get(args.arm)
-                units[side] = unit(harness, rm, wl, args.unit, arm)
-            times = time_chunks(units, args.reps)
+            metrics, failed = time_rounds(harness, harness.WORKLOADS[args.workload],
+                                          packages, args.reps)
     except subprocess.CalledProcessError as e:
         print(f"error: {' '.join(e.cmd)} exited {e.returncode}", file=sys.stderr)
         return 2
-    label = {"workload": args.workload}
-    if args.unit != "train":
-        label["unit"] = args.unit
-    if args.arm is not None:
-        label["arm"] = args.arm
-    print(json.dumps({**label, "parent": args.parent, **summarize(times)}))
+    summary = summarize(benchmark["end_to_end"], metrics, failed)
+    print(json.dumps({"workload": args.workload, "parent": args.parent, **summary}))
     return 0
 
 

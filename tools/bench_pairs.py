@@ -171,6 +171,18 @@ def checkouts(rev: str):
     return scratch_checkouts(parent=rev, change=None)
 
 
+def load_harness(checkout: Path):
+    """The checkout's `benchmarks/harness` module, imported after the
+    checkout's `benchmarks/run.py` has pinned every BLAS pool to one thread."""
+    if "numpy" in sys.modules:
+        raise RuntimeError("numpy is loaded already: its BLAS pools can no longer be pinned")
+    sys.path[:0] = [str(checkout / "benchmarks"), str(checkout / "src")]
+    import run  # noqa: F401  (sets each BLAS thread variable to 1 on import)
+    import harness
+
+    return harness
+
+
 def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])

@@ -33,18 +33,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import bench_pairs  # noqa: E402
 
 
-def load_harness(checkout: Path):
-    """The checkout's `benchmarks/harness` module, imported after the
-    checkout's `benchmarks/run.py` has pinned every BLAS pool to one thread."""
-    if "numpy" in sys.modules:
-        raise RuntimeError("numpy is loaded already: its BLAS pools can no longer be pinned")
-    sys.path[:0] = [str(checkout / "benchmarks"), str(checkout / "src")]
-    import run  # noqa: F401  (sets each BLAS thread variable to 1 on import)
-    import harness
-
-    return harness
-
-
 def replay(harness, workload: str, seed: int, rounds: int, run_dir: Path) -> dict:
     """The verdict of an untraced run of exactly `rounds` rounds."""
     harness.MIN_ROUNDS = rounds
@@ -74,7 +62,7 @@ def main(argv=None) -> int:
     verdicts = []
     try:
         with bench_pairs.scratch_checkouts(tree=args.rev) as (tree,):
-            harness = load_harness(tree)
+            harness = bench_pairs.load_harness(tree)
             run_dir = tree / "benchmarks" / "runs"
             run_dir.mkdir(exist_ok=True)
             for rounds in counts:
