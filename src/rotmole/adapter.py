@@ -251,8 +251,13 @@ def _route_full(layer: AdapterLayer, x: Vector, force_selected=None):
         selected = tuple(force_selected)
     # Renormalizing the selected softmax values cancels the full denominator,
     # so compute g directly from the selected logits: same value, and exactly
-    # independent of unselected logits.
-    g = softmax(logits.take(selected))
+    # independent of unselected logits. One finite logit l gives exactly 1
+    # (l - l = +0.0, exp(0.0) = 1.0), so skip the softmax there; a fresh array
+    # is cheaper than np.ones. A non-finite one keeps the softmax's nan.
+    if len(selected) == 1 and math.isfinite(logits[selected[0]]):
+        g = np.array([1.0])
+    else:
+        g = softmax(logits.take(selected))
     if config.mode == "rotmole":
         w_theta = layer.router.w_theta
         t_list = [float(x.dot(w_theta[:, i])) for i in selected]

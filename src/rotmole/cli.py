@@ -17,6 +17,8 @@ import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .adapter import (
     AdapterConfig,
     AdapterLayer,
@@ -296,27 +298,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        if args.command == "gradcheck":
-            return cmd_gradcheck(load_experiment_config(args.config), args.trials, args.tol)
-        if args.command == "train":
-            return cmd_train(load_experiment_config(args.config))
-        if args.command == "compare":
-            return cmd_compare(load_experiment_config(args.config))
-        if args.command == "paramcount":
-            return cmd_paramcount(load_experiment_config(args.config))
-        # argparse admits no other command
+    # A diverging run overflows on its way to TrainingDiverged; its one-line
+    # error says so, without numpy's warnings. Library calls still warn.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
-            snapshots = [int(s) for s in args.snapshots.split(",") if s.strip()]
-        except ValueError:
-            raise ConfigError(f"--snapshots must be comma-separated integers, got {args.snapshots!r}")
-        return cmd_analyze(args.thetas, snapshots, args.bins)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except TrainingDiverged as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+            if args.command == "gradcheck":
+                return cmd_gradcheck(load_experiment_config(args.config), args.trials, args.tol)
+            if args.command == "train":
+                return cmd_train(load_experiment_config(args.config))
+            if args.command == "compare":
+                return cmd_compare(load_experiment_config(args.config))
+            if args.command == "paramcount":
+                return cmd_paramcount(load_experiment_config(args.config))
+            # argparse admits no other command
+            try:
+                snapshots = [int(s) for s in args.snapshots.split(",") if s.strip()]
+            except ValueError:
+                raise ConfigError(
+                    f"--snapshots must be comma-separated integers, got {args.snapshots!r}"
+                )
+            return cmd_analyze(args.thetas, snapshots, args.bins)
+        except ConfigError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
+        except TrainingDiverged as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from rotmole import adapter, numkit
 from rotmole.adapter import (
+    MODES,
     AdapterConfig,
     count_trainable_routing_params,
     forward,
@@ -19,7 +21,8 @@ from rotmole.adapter import (
     routing_param_count,
     trainable_params,
 )
-from rotmole.numkit import ConfigError, Rng, ShapeError
+from rotmole.autograd import randomize_layer
+from rotmole.numkit import ConfigError, Rng, ShapeError, softmax
 
 
 def small_config(mode="rotmole", r=3, n=4, k=2, d=8):
@@ -397,3 +400,75 @@ def test_load_layer_not_utf8_names_path(tmp_path):
     with pytest.raises(ConfigError, match=r"layer .*layer\.json is not valid UTF-8") as info:
         load_layer(path)
     assert "\n" not in str(info.value)
+
+
+# At k = 1 the per-sample route sets the one gate to exactly 1 without a
+# softmax; forward_batch keeps the general formula, so both must agree.
+K1_CONFIGS = [small_config(mode, r=r, n=n, k=1) for mode in MODES for r in (2, 3, 4)
+              for n in (1, 4)]
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def random_k1_layer(config, seed=5):
+    layer = init_adapter(config, Rng(seed))
+    randomize_layer(layer, Rng(seed + 1))
+    return layer
+
+
+@pytest.mark.parametrize("config", K1_CONFIGS, ids=lambda c: f"{c.mode}-r{c.r}-n{c.n}")
+def test_k1_gate_equals_the_softmax_of_its_logit(config):
+    layer = random_k1_layer(config)
+    xs = Rng(7).normals(6 * config.d).reshape(6, config.d)
+    ys, bcache = forward_batch(layer, xs)
+    for j, x in enumerate(xs):
+        logits, _, _ = adapter._gate_logits(layer, x)
+        decision = route(layer, x)
+        assert same_bits(decision.g, softmax(logits.take(decision.selected)))
+        assert same_bits(decision.g, bcache.g[j]) and decision.selected == tuple(bcache.selected[j])
+        y, cache = forward(layer, x)
+        assert same_bits(cache.decision.g, decision.g) and same_bits(y, ys[j])
+        for i in range(config.n):  # pinned to each expert, the own one included
+            y_pinned, pinned = forward(layer, x, force_selected=(i,))
+            assert same_bits(pinned.decision.g, softmax(logits.take((i,))))
+            assert same_bits(y_pinned, layer.w0.dot(x) + 1.0 * pinned.deltas[0])
+            if (i,) == decision.selected:
+                assert same_bits(y_pinned, y)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("mode", MODES)
+def test_k1_nonfinite_logit_keeps_the_softmax_nan(mode, n, value):
+    layer = random_k1_layer(small_config(mode, n=n, k=1))
+    gate = layer.router.mlp_w2 if mode == "mlp_gate" else layer.router.w_g
+    gate[:, n - 1] = value
+    x = Rng(8).normals(8)
+    with np.errstate(invalid="ignore", over="ignore"):
+        logits, _, _ = adapter._gate_logits(layer, x)
+        expected = softmax(logits.take((n - 1,)))
+        outputs = [forward(layer, x, force_selected=(n - 1,))]
+        if n == 1:
+            outputs.append(forward(layer, x))
+    assert not math.isfinite(logits[n - 1]) and np.isnan(expected).all()
+    for y, cache in outputs:
+        assert same_bits(cache.decision.g, expected)
+        assert np.isnan(y).all()
+
+
+def test_pinned_k1_forward_takes_no_one_logit_softmax(monkeypatch):
+    def softmax_of_several(logits):
+        if logits.size == 1:
+            raise AssertionError("softmax of a single logit")
+        return numkit.softmax(logits)
+
+    monkeypatch.setattr(adapter, "softmax", softmax_of_several)
+    x = Rng(9).normals(8)
+    for mode in MODES:
+        layer = random_k1_layer(small_config(mode, n=4, k=1))
+        for i in range(4):
+            _, cache = forward(layer, x, force_selected=(i,))
+            assert cache.decision.g.tolist() == [1.0]

@@ -27,11 +27,14 @@ METRICS = [
 ]
 
 
-def run(rate, time, correct=True, failed=0, rounds=10):
-    return {"correct": correct, "attempted": 4, "failed": failed,
-            "metrics": {"rate": {"value": rate, "unit": "params/s"},
-                        "time": {"value": time, "unit": "s"}},
-            "rounds": rounds}
+def run(rate, time, correct=True, failed=0, rounds=10, rss=None):
+    out = {"correct": correct, "attempted": 4, "failed": failed,
+           "metrics": {"rate": {"value": rate, "unit": "params/s"},
+                       "time": {"value": time, "unit": "s"}},
+           "rounds": rounds}
+    if rss is not None:
+        out["metrics"]["peak_rss_mb"] = {"value": rss, "unit": "MB"}
+    return out
 
 
 def test_summary_medians_quartiles_ratio_and_wins():
@@ -61,6 +64,24 @@ def test_summary_reports_rounds_per_side():
         "parent": {"median": 25.0, "q1": 22.5, "q3": 27.5},  # the failed pair's parent counts
         "change": {"median": 39, "q1": 38, "q3": 40},
     }
+    assert [p["seed"] for p in out["per_pair"]] == [0, 1, 2, 3, 4, 9]
+    assert out["per_pair"][1] == {"seed": 1, "parent": {"rounds": 22}, "change": {"rounds": 38}}
+    assert out["per_pair"][5] == {"seed": 9, "parent": {"rounds": 30}, "change": {}}
+
+
+def test_summary_lists_each_pairs_rounds_and_peak_rss():
+    pairs = [
+        {"seed": 3, "parent": run(1.0, 1.0, rounds=80, rss=58.5),
+         "change": run(1.0, 1.0, rounds=92, rss=61.25)},
+        {"seed": 4, "parent": run(1.0, 1.0, rounds=81), "change": {"error": "exit 1: "}},
+    ]
+    out = bench_pairs.summarize(pairs, METRICS)  # peak_rss_mb is not among METRICS
+    assert out["per_pair"] == [
+        {"seed": 3, "parent": {"rounds": 80, "peak_rss_mb": 58.5},
+         "change": {"rounds": 92, "peak_rss_mb": 61.25}},
+        {"seed": 4, "parent": {"rounds": 81}, "change": {}},  # what each run reported
+    ]
+    assert "peak_rss_mb" not in out["metrics"]
 
 
 @pytest.mark.parametrize("rate, time, beyond", [

@@ -1,7 +1,10 @@
 import copy
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,8 @@ from rotmole import autograd, cli
 from rotmole.adapter import AdapterConfig, load_layer, mlp_hidden_dim
 from rotmole.cli import load_experiment_config, main
 from rotmole.numkit import ConfigError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_config(tmp_path, *, steps=3, spt=2, mode="rotmole", n=2, k=1, d=8, r=3,
@@ -489,7 +494,6 @@ def test_compare_writes_comparison(tmp_path, capsys):
     assert doc["init_seed"] == 99 and doc["data_seed"] == 404
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
 @pytest.mark.parametrize("lr0", [1e308, 1e306])
 def test_diverged_train_exits_1_and_writes_nothing(tmp_path, capsys, lr0):
     # At 1e308 the first update leaves NaN in the held-out MSE, at 1e306 inf.
@@ -501,6 +505,21 @@ def test_diverged_train_exits_1_and_writes_nothing(tmp_path, capsys, lr0):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "non-finite held-out mse at step 0" in err[0], err
     assert not (tmp_path / "out").exists()
+
+
+def test_diverging_train_prints_only_its_error(tmp_path):
+    # Run as a command, so numpy's warnings would reach stderr under the
+    # default filters rather than this suite's.
+    path = write_config(tmp_path, d=16, steps=20)
+    doc = json.loads(path.read_text())
+    doc["train"]["lr0"] = 50.0
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-m", "rotmole.cli", "train", "--config", str(path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: non-finite held-out mse at step 4"], proc.stderr
 
 
 def test_eps_degenerate_key_exit_2(tmp_path, capsys):

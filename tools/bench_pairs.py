@@ -15,12 +15,14 @@ seed to seed. Progress goes to stderr. The last stdout line
 is one JSON object: for each end-to-end metric of BENCHMARK.json, each
 side's median and quartiles, the ratio of the medians (change over parent)
 and the pairs the change wins (ties count for neither side); each side's
-rounds as a median and quartiles; the metrics whose change median is worse
-than the parent's by more than their BENCHMARK.json bound; and every run
-that read `correct: false` (with the checks it failed) or `failed > 0`, or
-printed no result, with its rounds when it printed a result: the benchmark's
-directional and learning checks depend on the round count, so a failed run
-compares only with a parent run of as many rounds. The exit code is 1 when
+rounds as a median and quartiles; each pair's rounds and `peak_rss_mb` per
+side, since the benchmark's memory follows its round count; the metrics
+whose change median is worse than the parent's by more than their
+BENCHMARK.json bound; and every run that read `correct: false` (with the
+checks it failed) or `failed > 0`, or printed no result, with its rounds
+when it printed a result: the benchmark's directional and learning checks
+depend on the round count, so a failed run compares only with a parent run
+of as many rounds. The exit code is 1 when
 either of those two lists is non-empty, so a script that runs the pairs
 stops there.
 """
@@ -72,9 +74,11 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     for a run that printed none. `metrics` is BENCHMARK.json's `end_to_end`
     list. A metric is summarized over the pairs in which both sides report it.
     A metric is `beyond_bound` when the change's median is worse than the
-    parent's by more than the metric's relative `bound`.
+    parent's by more than the metric's relative `bound`. `per_pair` gives
+    each side's rounds and peak_rss_mb, where the run reported them.
     """
-    out = {"pairs": len(pairs), "metrics": {}, "rounds": {}, "beyond_bound": [], "bad_runs": []}
+    out = {"pairs": len(pairs), "metrics": {}, "rounds": {}, "per_pair": [], "beyond_bound": [],
+           "bad_runs": []}
     for spec in metrics:
         name, lower_better = spec["name"], spec["better"] == "lower"
         both = [
@@ -99,6 +103,9 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         if rounds:
             out["rounds"][side] = spread(rounds)
     for p in pairs:
+        out["per_pair"].append({"seed": p["seed"], **{
+            side: rounds_and_rss(p[side]) for side in ("parent", "change")
+        }})
         for side in ("parent", "change"):
             run = p[side]
             if "error" in run or run.get("correct") is not True or run.get("failed", 0) > 0:
@@ -107,6 +114,13 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
                     if key in run
                 }})
     return out
+
+
+def rounds_and_rss(run: dict) -> dict:
+    """The rounds and peak_rss_mb value of one run, those it reported."""
+    found = {"rounds": run.get("rounds"),
+             "peak_rss_mb": run.get("metrics", {}).get("peak_rss_mb", {}).get("value")}
+    return {key: value for key, value in found.items() if value is not None}
 
 
 def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
