@@ -1,4 +1,5 @@
 """The summary of `tools/bench_pairs.py`, on hand-made run records, its
+checkouts of a throwaway git repository, the exits of its `main`, its
 harness loader, and the start-up of every tool under `tools/`.
 
 No benchmark runs here: the script's runs take minutes.
@@ -8,6 +9,7 @@ import contextlib
 import importlib.util
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -215,6 +217,99 @@ def test_main_rejects_an_unknown_workload_before_any_checkout(monkeypatch, capsy
     assert "'wide-trian'" in capsys.readouterr().err
 
 
+def git(root, *args):
+    subprocess.run(["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@t",
+                    "-c", "commit.gpgsign=false", *args], check=True, capture_output=True)
+
+
+@pytest.fixture
+def repo(tmp_path, monkeypatch):
+    """A throwaway git repository as `bench_pairs.ROOT`, with two committed
+    files under `pkg/`, a BENCHMARK.json and an ignore rule; temporary
+    directories go to `tmp_path / "scratch"`, so a test can see them removed."""
+    root = tmp_path / "repo"
+    (root / "pkg").mkdir(parents=True)
+    (root / "pkg" / "kept.py").write_text("committed\n")
+    (root / "pkg" / "gone.py").write_text("committed\n")
+    (root / ".gitignore").write_text("*.log\n")
+    (root / "BENCHMARK.json").write_text(
+        json.dumps({"workloads": [{"name": "small-compare"}], "end_to_end": METRICS})
+    )
+    git(root, "init", "-q")
+    git(root, "add", "-A")
+    git(root, "commit", "-q", "-m", "base")
+    (tmp_path / "scratch").mkdir()
+    monkeypatch.setattr(bench_pairs.tempfile, "tempdir", str(tmp_path / "scratch"))
+    monkeypatch.setattr(bench_pairs, "ROOT", root)
+    return root
+
+
+def files(directory):
+    return sorted(p.relative_to(directory).as_posix() for p in directory.rglob("*")
+                  if p.is_file())
+
+
+def test_checkouts_hold_the_revision_and_the_working_tree(repo, tmp_path):
+    (repo / "pkg" / "kept.py").write_text("edited\n")
+    (repo / "pkg" / "gone.py").unlink()  # deleted, not staged: git still lists it
+    (repo / "new").mkdir()
+    (repo / "new" / "untracked.py").write_text("untracked\n")
+    (repo / "run.log").write_text("ignored\n")
+    with bench_pairs.checkouts("HEAD") as (parent, change):
+        assert parent.parent == change.parent
+        assert parent.parent.parent == tmp_path / "scratch"
+        assert files(parent) == [".gitignore", "BENCHMARK.json", "pkg/gone.py", "pkg/kept.py"]
+        assert files(change) == [".gitignore", "BENCHMARK.json", "new/untracked.py",
+                                 "pkg/kept.py"]
+        assert (parent / "pkg" / "kept.py").read_text() == "committed\n"
+        assert (change / "pkg" / "kept.py").read_text() == "edited\n"
+
+
+def test_checkouts_are_removed_on_exit_and_after_an_error(repo, tmp_path):
+    with bench_pairs.checkouts("HEAD") as (parent, change):
+        assert parent.is_dir() and change.is_dir()
+    assert list((tmp_path / "scratch").iterdir()) == []
+    with pytest.raises(KeyError, match="body"):
+        with bench_pairs.checkouts("HEAD"):
+            raise KeyError("body")
+    assert list((tmp_path / "scratch").iterdir()) == []
+
+
+def test_main_reports_a_failed_checkout(repo, tmp_path, monkeypatch, capsys):
+    """`git archive` of an unknown revision exits 128: main exits 2 with one
+    stderr line, prints nothing to stdout and leaves no checkout behind."""
+    monkeypatch.setattr(bench_pairs.signal, "signal", lambda *args: None)
+    argv = ["--parent", "no-such-rev", "--workload", "small-compare", "--seeds", "1",
+            "--seconds", "1"]
+    assert bench_pairs.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: git -C {repo} archive no-such-rev exited 128\n"
+    assert list((tmp_path / "scratch").iterdir()) == []
+
+
+def test_sigterm_during_the_pairs_removes_the_checkouts(repo, tmp_path, monkeypatch):
+    """A SIGTERM while a run goes unwinds through the checkouts' clean-up and
+    exits 143."""
+    handlers, ran = {}, []
+
+    def run_side(checkout, workload, seed, seconds):
+        ran.append(checkout.name)
+        assert checkout.is_dir()
+        handlers[signal.SIGTERM](signal.SIGTERM, None)
+        raise AssertionError("the pairs ran on after SIGTERM")
+
+    monkeypatch.setattr(bench_pairs.signal, "signal", handlers.__setitem__)
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    argv = ["--parent", "HEAD", "--workload", "small-compare", "--seeds", "1-2",
+            "--seconds", "1"]
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(argv)
+    assert exit_info.value.code == 143
+    assert ran == ["parent"]
+    assert list((tmp_path / "scratch").iterdir()) == []
+
+
 def test_load_harness_refuses_once_numpy_is_loaded(tmp_path):
     path = list(sys.path)
     with pytest.raises(RuntimeError, match="BLAS"):
@@ -222,10 +317,10 @@ def test_load_harness_refuses_once_numpy_is_loaded(tmp_path):
     assert sys.path == path
 
 
-@pytest.mark.parametrize("tool", ["bench_pairs", "ab_chunks", "replay_rounds"])
+@pytest.mark.parametrize("tool", sorted(TOOLS.glob("*.py")), ids=lambda tool: tool.stem)
 def test_each_tool_starts(tool):
     """Each tool imports what it needs on its own, as run from a shell."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
-    proc = subprocess.run([sys.executable, str(TOOLS / f"{tool}.py"), "--help"], env=env,
+    proc = subprocess.run([sys.executable, str(tool), "--help"], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
