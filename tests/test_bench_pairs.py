@@ -89,7 +89,8 @@ def test_summary_lists_each_pairs_rounds_and_peak_rss():
 @pytest.mark.parametrize("rate, time, beyond", [
     (0.79, 1.0, []),  # 21% lower: within the 22% bound
     (0.77, 1.0, ["rate"]),  # 23% lower
-    (1.0, 1.26, ["time"]),  # 26% higher, against a 25% bound
+    (1.0, 1.24, []),  # 24% higher, against a 25% bound
+    (1.0, 1.26, ["time"]),
     (0.5, 2.0, ["rate", "time"]),
     (2.0, 0.5, []),  # better is never beyond a bound
 ])
@@ -122,12 +123,18 @@ def test_summary_of_one_pair():
     assert out["metrics"]["rate"]["ratio"] == 1.5
 
 
-def test_parse_seeds():
-    assert bench_pairs.parse_seeds("31-34") == [31, 32, 33, 34]
-    assert bench_pairs.parse_seeds("1,3,5-6") == [1, 3, 5, 6]
-    for bad in ("5-3", "-1", "x"):
-        with pytest.raises(ValueError):
-            bench_pairs.parse_seeds(bad)
+@pytest.mark.parametrize("text, seeds", [
+    ("31-34", [31, 32, 33, 34]), ("1,3,5-6", [1, 3, 5, 6]), ("7", [7]), (" 2, 4-5 ", [2, 4, 5]),
+    ("0", [0]),  # the least seed
+])
+def test_parse_seeds(text, seeds):
+    assert bench_pairs.parse_seeds(text) == seeds
+
+
+@pytest.mark.parametrize("text", ["5-3", "-1", "x", "1,,2", "1-2-3"])
+def test_parse_seeds_rejects(text):
+    with pytest.raises(ValueError):
+        bench_pairs.parse_seeds(text)
 
 
 def test_run_side_reads_rounds_from_the_line_before_the_result(monkeypatch):
@@ -205,16 +212,23 @@ def test_main_exits_1_on_a_bad_run_or_a_metric_beyond_its_bound(
     assert bool(summary["bad_runs"] or summary["beyond_bound"]) == (code == 1)
 
 
-def test_main_rejects_an_unknown_workload_before_any_checkout(monkeypatch, capsys):
+@pytest.mark.parametrize("flags, message", [
+    (["--workload", "wide-trian"], "'wide-trian'"),
+    (["--seeds", "5-3"], "--seeds: bad range '5-3'"),
+    (["--seeds", "x"], "--seeds: invalid literal"),
+    (["--seconds", "x"], "--seconds: invalid float value: 'x'"),
+    (["--parent"], "--parent: expected one argument"),
+], ids=["workload", "seed-range", "seed", "seconds", "no-parent"])
+def test_main_rejects_bad_arguments_before_any_checkout(monkeypatch, capsys, flags, message):
     def checkouts(rev):
         raise AssertionError("a checkout was made")
 
     monkeypatch.setattr(bench_pairs, "checkouts", checkouts)
-    argv = ["--parent", "HEAD", "--workload", "wide-trian", "--seeds", "1", "--seconds", "1"]
+    argv = ["--parent", "HEAD", "--workload", "small-compare", "--seeds", "1", "--seconds", "1"]
     with pytest.raises(SystemExit) as exit_info:
-        bench_pairs.main(argv)
+        bench_pairs.main(argv + flags)  # a repeated option's last value counts
     assert exit_info.value.code == 2
-    assert "'wide-trian'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def git(root, *args):
@@ -265,13 +279,13 @@ def test_checkouts_hold_the_revision_and_the_working_tree(repo, tmp_path):
         assert (change / "pkg" / "kept.py").read_text() == "edited\n"
 
 
-def test_checkouts_are_removed_on_exit_and_after_an_error(repo, tmp_path):
-    with bench_pairs.checkouts("HEAD") as (parent, change):
-        assert parent.is_dir() and change.is_dir()
-    assert list((tmp_path / "scratch").iterdir()) == []
-    with pytest.raises(KeyError, match="body"):
-        with bench_pairs.checkouts("HEAD"):
-            raise KeyError("body")
+@pytest.mark.parametrize("error", [None, KeyError("body")], ids=["exit", "error"])
+def test_checkouts_are_removed_on_exit_and_after_an_error(repo, tmp_path, error):
+    with pytest.raises(KeyError) if error else contextlib.nullcontext():
+        with bench_pairs.checkouts("HEAD") as (parent, change):
+            assert parent.is_dir() and change.is_dir()
+            if error:
+                raise error
     assert list((tmp_path / "scratch").iterdir()) == []
 
 
