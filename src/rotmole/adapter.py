@@ -45,7 +45,6 @@ from .numkit import (
 )
 from .rotation import (
     PlaneBatch,
-    RotationPlane,
     apply_rotation,
     apply_rotations,
     build_plane,
@@ -116,19 +115,13 @@ class AdapterLayer:
 
 @dataclass
 class ForwardCache:
-    """Every intermediate of one `forward` call. `backward` reads its input,
-    selection and config; the per-sample oracle in tests/oracle.py the rest."""
+    """What `backward` reads of one `forward` call: its input, routing
+    decision and config. The per-sample oracle in tests/oracle.py recomputes
+    every other intermediate from these."""
 
     config: AdapterConfig
     x: Vector
     decision: RoutingDecision
-    theta_logits: Vector  # raw rotation-gate logits for selected experts
-    us: list[Vector]  # A_i x per selected expert
-    planes: list[RotationPlane | None]
-    rotated: list[Vector]
-    deltas: list[Vector]  # B_i (rotated) per selected expert
-    mlp_pre: Vector | None = None
-    mlp_hidden: Vector | None = None
 
 
 @dataclass
@@ -224,25 +217,23 @@ def init_adapter(config: AdapterConfig, rng: Rng) -> AdapterLayer:
     return AdapterLayer(config, w0, experts, router)
 
 
-def _gate_logits(layer: AdapterLayer, x: Vector):
-    """Gate logits plus MLP intermediates (None outside mlp_gate mode)."""
+def _gate_logits(layer: AdapterLayer, x: Vector) -> Vector:
+    """The scaling gate's logits for one input."""
     router = layer.router
     if layer.config.mode == "mlp_gate":
-        pre = x.dot(router.mlp_w1)
-        hidden = np.maximum(pre, 0.0)
-        return hidden.dot(router.mlp_w2), pre, hidden
-    return x.dot(router.w_g), None, None
+        return np.maximum(x.dot(router.mlp_w1), 0.0).dot(router.mlp_w2)
+    return x.dot(router.w_g)
 
 
 def _clamp_angle(theta: float) -> float:
     return min(max(theta, -THETA_LIMIT), THETA_LIMIT)
 
 
-def _route_full(layer: AdapterLayer, x: Vector, force_selected=None):
+def _route(layer: AdapterLayer, x: Vector, force_selected=None) -> RoutingDecision:
     config = layer.config
     if x.ndim != 1 or x.shape[0] != config.d:
         raise ShapeError(f"route: input shape {x.shape} does not match d={config.d}")
-    logits, mlp_pre, mlp_hidden = _gate_logits(layer, x)
+    logits = _gate_logits(layer, x)
     if force_selected is None:
         s = softmax(logits).tolist()
         order = sorted(range(config.n), key=lambda i: (-s[i], i))
@@ -260,19 +251,18 @@ def _route_full(layer: AdapterLayer, x: Vector, force_selected=None):
         g = softmax(logits.take(selected))
     if config.mode == "rotmole":
         w_theta = layer.router.w_theta
-        t_list = [float(x.dot(w_theta[:, i])) for i in selected]
-        angles = [_clamp_angle(2.0 * math.pi * sigmoid(t) - math.pi) for t in t_list]
-        theta_logits, theta = np.array(t_list), np.array(angles)
+        theta = np.array([
+            _clamp_angle(2.0 * math.pi * sigmoid(float(x.dot(w_theta[:, i]))) - math.pi)
+            for i in selected
+        ])
     else:
-        theta_logits, theta = np.zeros(len(selected)), np.zeros(len(selected))
-    decision = RoutingDecision(selected, g, theta)
-    return decision, theta_logits, mlp_pre, mlp_hidden
+        theta = np.zeros(len(selected))
+    return RoutingDecision(selected, g, theta)
 
 
 def route(layer: AdapterLayer, x: Vector) -> RoutingDecision:
     """Top-k selection on scaling-gate values, renormalized, plus angles."""
-    decision, _, _, _ = _route_full(layer, x)
-    return decision
+    return _route(layer, x)
 
 
 def forward(
@@ -282,43 +272,23 @@ def forward(
 
     `force_selected` pins the expert set regardless of gate values; the
     finite-difference harness uses it to keep top-k selection fixed while
-    parameters are perturbed.
+    parameters are perturbed. The cache holds x and the routing decision.
     """
     config = layer.config
-    decision, theta_logits, mlp_pre, mlp_hidden = _route_full(layer, x, force_selected)
+    decision = _route(layer, x, force_selected)
     rotating = config.mode == "rotmole"
     y = matvec(layer.w0, x)
-    us, planes, rotated, deltas = [], [], [], []
     for i, g_i, theta in zip(decision.selected, decision.g.tolist(), decision.theta.tolist()):
         expert = layer.experts[i]
         u = expert.a.dot(x)
-        plane = None
         if not rotating:
             rot = u
         elif config.r == 2:
             rot = rotation_matrix_2d(theta).dot(u)
         else:
-            plane = build_plane(u, layer.router.q[i])
-            rot = apply_rotation(u, plane, theta)
-        delta = expert.b.dot(rot)
-        y += g_i * delta
-        us.append(u)
-        planes.append(plane)
-        rotated.append(rot)
-        deltas.append(delta)
-    cache = ForwardCache(
-        config=config,
-        x=x,
-        decision=decision,
-        theta_logits=theta_logits,
-        us=us,
-        planes=planes,
-        rotated=rotated,
-        deltas=deltas,
-        mlp_pre=mlp_pre,
-        mlp_hidden=mlp_hidden,
-    )
-    return y, cache
+            rot = apply_rotation(u, build_plane(u, layer.router.q[i]), theta)
+        y += g_i * expert.b.dot(rot)
+    return y, ForwardCache(config, x, decision)
 
 
 def forward_batch(layer: AdapterLayer, xs: Matrix) -> tuple[Matrix, BatchCache]:

@@ -234,15 +234,17 @@ class CheckReport:
 
 def near_degenerate(layer: AdapterLayer, x: Vector) -> bool:
     """True when a selected expert's rotation plane has |u| or an anchor
-    residual within 10 times the degeneracy threshold: the hard identity
-    switch makes gradients there meaningless, so checking inputs are
-    resampled."""
+    residual within 10 times the degeneracy threshold, limit included: the
+    hard identity switch makes gradients there meaningless, so checking
+    inputs are resampled. The planes are those of the one-row
+    `forward_batch`, which `backward` differentiates; a degenerate one is
+    within the limit too."""
     config = layer.config
     if config.mode != "rotmole" or config.r == 2:
         return False
-    _, cache = forward(layer, x)
+    planes = forward_batch(layer, x[None, :])[1].pairs.planes
     limit = 10.0 * DEGENERATE_EPS
-    return any(p.degenerate or p.u_norm <= limit or p.resid_norm <= limit for p in cache.planes)
+    return bool(np.any((planes.u_norm <= limit) | (planes.resid_norm <= limit)))
 
 
 def grad_check(

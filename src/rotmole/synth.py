@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkit import ConfigError, Matrix, Rng, Vector, kaiming_uniform, l2_norm, rowwise_matvec
-from .rotation import RotationPlane, apply_rotation, apply_rotations, build_plane, build_planes
+from .rotation import apply_rotation, apply_rotations, build_plane, build_planes
 
 FLOOR_RNG_SALT = 0x666C6F6F72  # decouples the oracle's sample stream from training data
 FLOOR_ANGLE_STEP = 0.01
@@ -119,21 +119,17 @@ def make_rotation_separable_tasks(cfg: DatasetConfig, rng: Rng) -> list[TaskSpec
     ]
 
 
-def _target_terms(spec: TaskSpec, x: Vector) -> tuple[Vector, RotationPlane, Vector]:
-    """u = A* x, u's plane and the delta B* R(phi) u that `target_output` adds to W0* x."""
-    u = spec.a_star.dot(x)
-    plane = build_plane(u, spec.q_star)
-    return u, plane, spec.b_star.dot(apply_rotation(u, plane, spec.phi))
-
-
 def target_output(spec: TaskSpec, x: Vector) -> Vector:
-    """Noiseless target: base map plus the task's rotated low-rank delta."""
-    _, _, delta = _target_terms(spec, x)
-    return spec.w0_star.dot(x) + delta
+    """Noiseless target: base map plus the task's rotated low-rank delta, as
+    the one-row `target_outputs` at the spec's own angle."""
+    return target_outputs(spec, x[None, :], np.array([spec.phi]))[0]
 
 
 def target_outputs(spec: TaskSpec, xs: Matrix, phis: Vector) -> Matrix:
-    """Row j is `target_output` of xs[j] at angle phis[j], bit for bit.
+    """Row j is the noiseless target of x = xs[j] at angle phis[j]:
+    W0* x + B* R A* x, where R turns by phis[j] in the plane of (A* x, q*),
+    or is the identity where that plane is degenerate. The per-sample
+    formula in tests/oracle.py gives the same bits.
 
     The generating arrays come from `spec`, whose own `phi` is not read, so
     one call serves rows of every task that shares them.
@@ -221,9 +217,9 @@ def _floor_sums(specs: list[TaskSpec], cfg: DatasetConfig, n_mc: int) -> Matrix:
     A sample's residual off its base map is rho = delta + noise, so W0* x is
     never computed; p = B* A* x and t = B* (||A* x|| e2(x)) are its candidate
     directions. Each block of samples takes its draws in one `_draw_rows`
-    call; u = A* x, its plane and delta come once per sample from
-    `_target_terms`. The rest stays per sample, one vector at a time, so the
-    sums are independent of `target_outputs` and `build_planes`.
+    call. The rest stays per sample, one vector at a time: u = A* x, its
+    `build_plane`, the delta B* R(phi) u and the six sums, so they share no
+    code with `target_outputs` and `build_planes`.
     """
     rng = Rng(cfg.seed ^ FLOOR_RNG_SALT)
     per_task = -(-n_mc // cfg.n_task)  # ceil division keeps tasks balanced
@@ -237,8 +233,9 @@ def _floor_sums(specs: list[TaskSpec], cfg: DatasetConfig, n_mc: int) -> Matrix:
             xs, noises = _draw_rows(cfg, np.full(m, spec.task_id), rng)
             noises *= cfg.noise_std
             for x, noise in zip(xs, noises):
-                u, plane, delta = _target_terms(spec, x)
-                rho = delta + noise
+                u = spec.a_star.dot(x)
+                plane = build_plane(u, spec.q_star)
+                rho = spec.b_star.dot(apply_rotation(u, plane, spec.phi)) + noise
                 plain = spec.b_star.dot(u)
                 turned = zero if plane.degenerate else spec.b_star.dot(plane.u_norm * plane.e2)
                 rr += rho.dot(rho)

@@ -24,6 +24,8 @@ from rotmole.adapter import (
 from rotmole.autograd import randomize_layer
 from rotmole.numkit import ConfigError, Rng, ShapeError, softmax
 
+from oracle import expert_terms, same_bits
+
 
 def small_config(mode="rotmole", r=3, n=4, k=2, d=8):
     mlp_hidden = 5 if mode == "mlp_gate" else None
@@ -408,11 +410,6 @@ K1_CONFIGS = [small_config(mode, r=r, n=n, k=1) for mode in MODES for r in (2, 3
               for n in (1, 4)]
 
 
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
 def random_k1_layer(config, seed=5):
     layer = init_adapter(config, Rng(seed))
     randomize_layer(layer, Rng(seed + 1))
@@ -425,7 +422,7 @@ def test_k1_gate_equals_the_softmax_of_its_logit(config):
     xs = Rng(7).normals(6 * config.d).reshape(6, config.d)
     ys, bcache = forward_batch(layer, xs)
     for j, x in enumerate(xs):
-        logits, _, _ = adapter._gate_logits(layer, x)
+        logits = adapter._gate_logits(layer, x)
         decision = route(layer, x)
         assert same_bits(decision.g, softmax(logits.take(decision.selected)))
         assert same_bits(decision.g, bcache.g[j]) and decision.selected == tuple(bcache.selected[j])
@@ -434,7 +431,8 @@ def test_k1_gate_equals_the_softmax_of_its_logit(config):
         for i in range(config.n):  # pinned to each expert, the own one included
             y_pinned, pinned = forward(layer, x, force_selected=(i,))
             assert same_bits(pinned.decision.g, softmax(logits.take((i,))))
-            assert same_bits(y_pinned, layer.w0.dot(x) + 1.0 * pinned.deltas[0])
+            delta = expert_terms(layer, x, i, float(pinned.decision.theta[0]))[3]
+            assert same_bits(y_pinned, layer.w0.dot(x) + 1.0 * delta)
             if (i,) == decision.selected:
                 assert same_bits(y_pinned, y)
 
@@ -448,7 +446,7 @@ def test_k1_nonfinite_logit_keeps_the_softmax_nan(mode, n, value):
     gate[:, n - 1] = value
     x = Rng(8).normals(8)
     with np.errstate(invalid="ignore", over="ignore"):
-        logits, _, _ = adapter._gate_logits(layer, x)
+        logits = adapter._gate_logits(layer, x)
         expected = softmax(logits.take((n - 1,)))
         outputs = [forward(layer, x, force_selected=(n - 1,))]
         if n == 1:

@@ -26,7 +26,10 @@ from rotmole.autograd import (
     randomize_layer,
     zero_gradients,
 )
-from rotmole.numkit import ConfigError, Rng
+from rotmole.numkit import ConfigError, Rng, l2_norm
+from rotmole.rotation import DEGENERATE_EPS, build_plane
+
+from oracle import expert_terms
 
 
 def make_layer(mode="rotmole", d=6, r=3, n=3, k=2, seed=7, randomize=True):
@@ -269,12 +272,19 @@ def test_compare_gradients_holds_a_near_zero_entry_to_the_rounding_bound():
         assert report.passed is passes, off
 
 
+def selected_plane(layer, cache, pos):
+    """The rotation plane of the selected expert at `pos`, recomputed from
+    the cache's input and decision."""
+    i, theta = cache.decision.selected[pos], float(cache.decision.theta[pos])
+    return expert_terms(layer, cache.x, i, theta)[1]
+
+
 def plane_backward_terms(layer, cache, dl_dy, pos):
     """Two terms of backward()'s plane backward for the selected expert at
     `pos`, recomputed from the cache: the anchor term resid_bar -
     (resid_bar.e1) e1 that it adds to q[i], and the part
     (e1_bar - (e1_bar.e1) e1) / |u| of u_bar, as it reaches a_i."""
-    i, plane = cache.decision.selected[pos], cache.planes[pos]
+    i, plane = cache.decision.selected[pos], selected_plane(layer, cache, pos)
     e1, e2 = plane.e1, plane.e2
     rot_bar = float(cache.decision.g[pos]) * (layer.experts[i].b.T @ dl_dy)
     e2_bar = (math.sin(float(cache.decision.theta[pos])) * plane.u_norm) * rot_bar
@@ -293,7 +303,7 @@ def test_grad_check_fails_planted_plane_backward_bugs():
 
     assert verdict(analytic)
     for pos, i in enumerate(cache.decision.selected):
-        assert not cache.planes[pos].degenerate
+        assert not selected_plane(layer, cache, pos).degenerate
         anchor, a_term = plane_backward_terms(layer, cache, dl_dy, pos)
         # One sample: q[i]'s gradient is the anchor term alone, bit for bit.
         assert np.array_equal(analytic["q"][i], anchor)
@@ -403,7 +413,7 @@ def test_degenerate_plane_gradient_convention():
     u = layer.experts[0].a @ x
     layer.router.q[0] = 2.0 * u
     _, cache = forward(layer, x)
-    assert cache.planes[0].degenerate
+    assert selected_plane(layer, cache, 0).degenerate
     grads = backward(layer, cache, rng.normals(6))
     assert np.all(grads["q"] == 0.0)
     assert np.all(grads["w_theta"] == 0.0)
@@ -417,6 +427,26 @@ def test_near_degenerate_detection():
     assert not near_degenerate(layer, x)
     layer.router.q[0] = layer.experts[0].a @ x  # parallel anchor
     assert near_degenerate(layer, x)
+
+
+def test_near_degenerate_includes_its_limit():
+    # |A_i x| or the anchor residual exactly at 10 * DEGENERATE_EPS counts as
+    # near-degenerate, one ulp above it does not. x is a unit vector, so A x
+    # is A's hand-set first column.
+    limit = 10.0 * DEGENERATE_EPS
+    layer, _ = make_layer(d=4, n=1, k=1)
+    a, q = layer.experts[0].a, layer.router.q[0]
+    a[...] = 0.0
+    x = np.array([1.0, 0.0, 0.0, 0.0])
+    for length, near in ((limit, True), (np.nextafter(limit, 1.0), False)):
+        a[:, 0] = [length, 0.0, 0.0]
+        q[...] = [0.0, 1.0, 0.0]
+        assert l2_norm(a @ x) == length
+        assert near_degenerate(layer, x) is near
+        a[:, 0] = [1.0, 0.0, 0.0]
+        q[...] = [5.0, length, 0.0]  # its residual off A x is (0, length, 0)
+        assert build_plane(a @ x, q).resid_norm == length
+        assert near_degenerate(layer, x) is near
 
 
 def test_selection_freezing_blocks_unselected_influence():

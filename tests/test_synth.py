@@ -13,8 +13,9 @@ from rotmole.synth import (
     analytic_baseline_floor,
     make_rotation_separable_tasks,
     sample_batch,
-    target_output,
 )
+
+from oracle import target_output
 
 
 def config(n_task=2, noise_std=0.0, sep=math.pi, spt=3, seed=11, d=16, r=3):
