@@ -229,7 +229,9 @@ def _clamp_angle(theta: float) -> float:
     return min(max(theta, -THETA_LIMIT), THETA_LIMIT)
 
 
-def _route(layer: AdapterLayer, x: Vector, force_selected=None) -> RoutingDecision:
+def route(layer: AdapterLayer, x: Vector, *, force_selected=None) -> RoutingDecision:
+    """Top-k selection on scaling-gate values, or the experts of
+    `force_selected` in its order, renormalized, plus angles."""
     config = layer.config
     if x.ndim != 1 or x.shape[0] != config.d:
         raise ShapeError(f"route: input shape {x.shape} does not match d={config.d}")
@@ -260,11 +262,6 @@ def _route(layer: AdapterLayer, x: Vector, force_selected=None) -> RoutingDecisi
     return RoutingDecision(selected, g, theta)
 
 
-def route(layer: AdapterLayer, x: Vector) -> RoutingDecision:
-    """Top-k selection on scaling-gate values, renormalized, plus angles."""
-    return _route(layer, x)
-
-
 def forward(
     layer: AdapterLayer, x: Vector, *, force_selected=None
 ) -> tuple[Vector, ForwardCache]:
@@ -275,7 +272,7 @@ def forward(
     parameters are perturbed. The cache holds x and the routing decision.
     """
     config = layer.config
-    decision = _route(layer, x, force_selected)
+    decision = route(layer, x, force_selected=force_selected)
     rotating = config.mode == "rotmole"
     y = matvec(layer.w0, x)
     for i, g_i, theta in zip(decision.selected, decision.g.tolist(), decision.theta.tolist()):
@@ -291,7 +288,9 @@ def forward(
     return y, ForwardCache(config, x, decision)
 
 
-def forward_batch(layer: AdapterLayer, xs: Matrix) -> tuple[Matrix, BatchCache]:
+def forward_batch(
+    layer: AdapterLayer, xs: Matrix, *, base: Matrix | None = None
+) -> tuple[Matrix, BatchCache]:
     """`forward` of every row of xs at once; row j of the output is
     `forward(layer, xs[j])[0]` bit for bit.
 
@@ -306,12 +305,9 @@ def forward_batch(layer: AdapterLayer, xs: Matrix) -> tuple[Matrix, BatchCache]:
     stable sort of the same softmax values, and the angle gate's sigmoid,
     cosine and sine are taken per value with the same scalar functions, so
     the per-sample `forward` is the oracle of this path.
+
+    `base`, when given, stands in for the row-wise products W0 x of xs.
     """
-    return _forward_batch(layer, xs, None)
-
-
-def _forward_batch(layer: AdapterLayer, xs: Matrix, base: Matrix | None):
-    """`forward_batch`, on `base` as the row-wise products W0 x of xs when given."""
     config = layer.config
     if xs.ndim != 2 or xs.shape[1] != config.d:
         raise ShapeError(f"forward_batch: input shape {xs.shape} does not match d={config.d}")

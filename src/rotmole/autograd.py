@@ -190,13 +190,19 @@ def finite_diff_grad(
     """Central differences of loss_fn over every trainable scalar of the layer.
 
     Parameters are perturbed in place one at a time and restored, so loss_fn
-    must be a pure function of the layer's current parameter values.
+    must be a pure function of the layer's current parameter values. An
+    array that is not C-contiguous, whose flat view is a copy the layer never
+    sees, raises ValueError before loss_fn runs.
     """
     if h <= 0.0:
         raise ConfigError(f"finite_diff_grad: h must be positive, got {h}")
+    params = trainable_params(layer)
+    for name, arr in params.items():
+        if not arr.flags.c_contiguous:
+            raise ValueError(f"finite_diff_grad: '{name}' is not C-contiguous")
     grads: Gradients = {}
     two_h = 2.0 * h
-    for name, arr in trainable_params(layer).items():
+    for name, arr in params.items():
         flat = arr.reshape(-1)
         diffs = []
         for j, orig in enumerate(flat.tolist()):

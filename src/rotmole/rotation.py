@@ -28,9 +28,10 @@ class RotationPlane:
 
     When `degenerate` is true the basis fields are None and any rotation on
     this plane is the identity. `u_norm`, `q_dot_e1` and `resid_norm` are the
-    intermediates of the Gram-Schmidt construction; the backward pass reuses
-    them instead of recomputing. Not frozen: a frozen dataclass costs about
-    1 us more per object, and `forward` builds one per selected expert.
+    intermediates of the Gram-Schmidt construction: `apply_rotation` and
+    `synth._floor_sums` read `u_norm`, and only the chain rule in
+    tests/oracle.py reads the other two. Not frozen: a frozen dataclass costs
+    about 1 us more per object, and `forward` builds one per selected expert.
     """
 
     e1: Vector | None

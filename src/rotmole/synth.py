@@ -125,20 +125,20 @@ def target_output(spec: TaskSpec, x: Vector) -> Vector:
     return target_outputs(spec, x[None, :], np.array([spec.phi]))[0]
 
 
-def target_outputs(spec: TaskSpec, xs: Matrix, phis: Vector) -> Matrix:
+def target_outputs(
+    spec: TaskSpec, xs: Matrix, phis: Vector, *, base: Matrix | None = None
+) -> Matrix:
     """Row j is the noiseless target of x = xs[j] at angle phis[j]:
     W0* x + B* R A* x, where R turns by phis[j] in the plane of (A* x, q*),
     or is the identity where that plane is degenerate. The per-sample
     formula in tests/oracle.py gives the same bits.
 
     The generating arrays come from `spec`, whose own `phi` is not read, so
-    one call serves rows of every task that shares them.
+    one call serves rows of every task that shares them. `base`, when given,
+    stands in for the row-wise products W0* x of xs.
     """
-    return _target_outputs(spec, xs, phis, rowwise_matvec(spec.w0_star, xs))
-
-
-def _target_outputs(spec: TaskSpec, xs: Matrix, phis: Vector, base: Matrix) -> Matrix:
-    """`target_outputs` on `base`, the row-wise products W0* x of xs."""
+    if base is None:
+        base = rowwise_matvec(spec.w0_star, xs)
     us = rowwise_matvec(spec.a_star, xs)
     planes = build_planes(us, spec.q_star)
     phis = phis.tolist()  # math's cos and sin, as apply_rotation takes them
@@ -169,8 +169,9 @@ def _draw_rows(cfg: DatasetConfig, task_ids: np.ndarray, rng: Rng) -> tuple[Matr
 
 def draw_batch(
     specs: list[TaskSpec], cfg: DatasetConfig, rng: Rng
-) -> tuple[np.ndarray, Matrix, Matrix]:
-    """One balanced batch as arrays: task ids (m,), inputs and targets (m, d).
+) -> tuple[np.ndarray, Matrix, Matrix, Matrix]:
+    """One balanced batch as arrays: task ids (m,), then inputs, targets and
+    the targets' base products W0* x, (m, d) each.
 
     Tasks are interleaved round-robin, with exact equal counts. One
     `_draw_rows` call and one `target_outputs` pass equal a loop that draws
@@ -178,11 +179,6 @@ def draw_batch(
     their generating arrays, as the specs of `make_rotation_separable_tasks`
     do; other specs raise ValueError.
     """
-    return _draw_batch(specs, cfg, rng)[:3]
-
-
-def _draw_batch(specs: list[TaskSpec], cfg: DatasetConfig, rng: Rng):
-    """`draw_batch`'s arrays, then the targets' base products W0* x, (m, d)."""
     if not specs:
         raise ValueError("draw_batch: specs must be nonempty")
     shared = specs[0]
@@ -199,14 +195,14 @@ def _draw_batch(specs: list[TaskSpec], cfg: DatasetConfig, rng: Rng):
     phis = np.array([spec.phi for spec in specs] * per_task)
     xs, noise = _draw_rows(cfg, task_ids, rng)
     base = rowwise_matvec(shared.w0_star, xs)
-    ys = _target_outputs(shared, xs, phis, base)
+    ys = target_outputs(shared, xs, phis, base=base)
     ys += cfg.noise_std * noise
     return task_ids, xs, ys, base
 
 
 def sample_batch(specs: list[TaskSpec], cfg: DatasetConfig, rng: Rng) -> list[Sample]:
     """`draw_batch` as a list of `Sample`s."""
-    task_ids, xs, ys = draw_batch(specs, cfg, rng)
+    task_ids, xs, ys, _ = draw_batch(specs, cfg, rng)
     return [Sample(task_id, x, y) for task_id, x, y in zip(task_ids.tolist(), xs, ys)]
 
 

@@ -22,10 +22,10 @@ import numpy as np
 # backward_batch and not an oracle, and sample_batch the list form of
 # draw_batch. These names and zero_gradients stay importable here because
 # benchmarks/spans.py patches them on this module to time them.
-from .adapter import AdapterLayer, _forward_batch, forward, trainable_params  # noqa: F401
+from .adapter import AdapterLayer, forward, forward_batch, trainable_params  # noqa: F401
 from .autograd import backward, backward_batch, zero_gradients  # noqa: F401
 from .numkit import ConfigError, Rng
-from .synth import DatasetConfig, Sample, TaskSpec, _draw_batch, sample_batch  # noqa: F401
+from .synth import DatasetConfig, Sample, TaskSpec, draw_batch, sample_batch  # noqa: F401
 
 
 EVAL_BLOCK_VALUES = 16384  # entries of one (samples, d) array in `evaluate`
@@ -98,7 +98,7 @@ def evaluate(layer: AdapterLayer, samples: list[Sample]) -> dict[int, float]:
     mses = np.empty(len(samples))
     for start in range(0, len(samples), block):
         chunk = samples[start : start + block]
-        y_hat, _ = _forward_batch(layer, np.array([s.x for s in chunk]), None)
+        y_hat, _ = forward_batch(layer, np.array([s.x for s in chunk]))
         mses[start : start + len(chunk)] = _row_mse(y_hat - np.array([s.y for s in chunk]))
     task_ids = np.array([s.task_id for s in samples], dtype=np.intp)
     totals, counts = np.bincount(task_ids, weights=mses), np.bincount(task_ids)
@@ -132,8 +132,8 @@ def train(
     params = trainable_params(layer)
     shared_w0 = bool(specs) and _same_bits(layer.w0, specs[0].w0_star)  # W0 is frozen
     for step in range(train_cfg.steps):
-        task_ids, xs, ys, base = _draw_batch(specs, data_cfg, data_rng)
-        y_hat, cache = _forward_batch(layer, xs, base if shared_w0 else None)
+        task_ids, xs, ys, base = draw_batch(specs, data_cfg, data_rng)
+        y_hat, cache = forward_batch(layer, xs, base=base if shared_w0 else None)
         err = y_hat - ys
         loss = 0.0
         for mse in _row_mse(err).tolist():  # summed in sample order, as floats

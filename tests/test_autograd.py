@@ -185,6 +185,17 @@ def test_finite_diff_restores_parameters():
         assert np.array_equal(v, before[k])
 
 
+def test_finite_diff_refuses_an_array_that_is_not_c_contiguous():
+    # Its flat view is a copy, so perturbing it would leave the layer as is
+    # and read an exactly-zero gradient.
+    layer, _ = make_layer()
+    layer.router.w_g = np.asfortranarray(layer.router.w_g)
+    calls = []
+    with pytest.raises(ValueError, match="'w_g' is not C-contiguous"):
+        finite_diff_grad(lambda lay: calls.append(lay) or 0.0, layer, 1e-5)
+    assert calls == []
+
+
 def test_grad_check_passes_all_modes():
     for mode in ("rotmole", "scaling_only", "mlp_gate"):
         layer, rng = make_layer(mode)

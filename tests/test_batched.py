@@ -92,6 +92,7 @@ def assert_batch_matches_oracle(layer, xs, dl_dy):
     ys_ref, decisions, grads_ref = per_sample(layer, xs, dl_dy)
     ys, cache = forward_batch(layer, xs)
     assert same_bits(ys, ys_ref)
+    assert same_bits(forward_batch(layer, xs, base=rowwise_matvec(layer.w0, xs))[0], ys)
     assert [tuple(row) for row in cache.selected.tolist()] == [d.selected for d in decisions]
     assert same_bits(cache.g, [d.g for d in decisions])
     assert same_bits(cache.theta, [d.theta for d in decisions])
@@ -117,6 +118,10 @@ def assert_pinning_keeps_bits(layer, xs):
         assert pinned.decision.selected == cache.decision.selected
         assert same_bits(pinned.decision.g, cache.decision.g)
         assert same_bits(pinned.decision.theta, cache.decision.theta)
+        routed = route(layer, x, force_selected=cache.decision.selected)
+        assert routed.selected == pinned.decision.selected
+        assert same_bits(routed.g, pinned.decision.g)
+        assert same_bits(routed.theta, pinned.decision.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +406,14 @@ def test_sample_batch_matches_per_sample_draws(r, draw_block, monkeypatch):
     a, b, c = Rng(52), Rng(52), Rng(52)
     for _ in range(20):
         batch, ref = sample_batch(specs, cfg, a), per_sample_batch(specs, cfg, b)
-        task_ids, xs, ys = draw_batch(specs, cfg, c)
+        task_ids, xs, ys, base = draw_batch(specs, cfg, c)
         assert [s.task_id for s in batch] == [s.task_id for s in ref] == task_ids.tolist()
         assert all(type(s.task_id) is int for s in batch)
         ref_xs, ref_ys = np.array([s.x for s in ref]), np.array([s.y for s in ref])
         assert same_bits([s.x for s in batch], ref_xs)
         assert same_bits([s.y for s in batch], ref_ys)
         assert same_bits(xs, ref_xs) and same_bits(ys, ref_ys)
+        assert same_bits(base, rowwise_matvec(specs[0].w0_star, xs))
     assert a.next_u64() == b.next_u64() == c.next_u64()
 
 
@@ -437,6 +443,7 @@ def test_target_outputs_match_target_output():
     xs[4] = 0.0  # degenerate plane
     phis = Rng(55).uniforms(30, -math.pi, math.pi)  # a different angle on each row
     out = target_outputs(spec, xs, phis)
+    assert same_bits(target_outputs(spec, xs, phis, base=rowwise_matvec(spec.w0_star, xs)), out)
     for x, phi, y in zip(xs, phis.tolist(), out):
         own = replace(spec, phi=phi)
         assert same_bits(y, target_output(own, x))
@@ -565,10 +572,11 @@ def test_train_shares_base_products_only_with_the_same_bits(monkeypatch, relatio
 
     monkeypatch.setattr(synth, "rowwise_matvec", counting)
     monkeypatch.setattr(adapter, "rowwise_matvec", counting)
-    train(layer, specs, data_cfg, TrainConfig(steps=steps, seed=83), rng, [])
+    train(layer, specs, data_cfg, TrainConfig(steps=steps, lr0=3e-4, seed=83), rng, [])
     assert len(base_products) == products_per_step * steps
     base_products.clear()
-    assert train(layer, specs, data_cfg, TrainConfig(steps=0, seed=83), rng, [])[1:] == ([], [])
+    idle = TrainConfig(steps=0, lr0=3e-4, seed=83)
+    assert train(layer, specs, data_cfg, idle, rng, [])[1:] == ([], [])
     assert base_products == []
 
 
@@ -576,9 +584,9 @@ def test_train_on_empty_specs_fails_only_at_a_step():
     data_cfg = DatasetConfig(d=16, r=3, n_task=2, noise_std=0.01,
                              samples_per_task_per_batch=4, phi_separation=1.0, seed=84)
     layer = random_layer(AdapterConfig(d=16, r=3, n=2, k=1, mode="rotmole"), seed=85)
-    assert train(layer, [], data_cfg, TrainConfig(steps=0), Rng(86), [])[1:] == ([], [])
+    assert train(layer, [], data_cfg, TrainConfig(steps=0, lr0=3e-4), Rng(86), [])[1:] == ([], [])
     with pytest.raises(ValueError, match="draw_batch: specs must be nonempty"):
-        train(layer, [], data_cfg, TrainConfig(steps=2), Rng(86), [])
+        train(layer, [], data_cfg, TrainConfig(steps=2, lr0=3e-4), Rng(86), [])
 
 
 def test_evaluate_in_blocks_matches_per_sample(monkeypatch):

@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,3 +259,16 @@ def test_layer_and_task_arrays_stay_c_contiguous(mode, tmp_path):
             assert getattr(spec, name).flags.c_contiguous, name
     train(layer, specs, data_cfg, TrainConfig(steps=2, lr0=1e-3, seed=6), rng, [])
     assert_c_contiguous(layer, "train")
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    # A private name is free to change with its own module; a sibling that
+    # needs it should be served by a public function instead.
+    src = Path(__file__).resolve().parents[1] / "src" / "rotmole"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "rotmole"):
+                found += [(path.name, alias.name) for alias in node.names
+                          if alias.name.startswith("_")]
+    assert found == []
