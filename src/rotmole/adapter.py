@@ -81,6 +81,8 @@ class AdapterConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "mlp_gate" and (self.mlp_hidden is None or self.mlp_hidden < 1):
             raise ConfigError(f"mlp_hidden must be positive in mlp_gate mode: {self.mlp_hidden}")
+        if self.mode != "mlp_gate" and self.mlp_hidden is not None:
+            raise ConfigError(f"mlp_hidden must be null outside mlp_gate mode: {self.mlp_hidden}")
 
 
 @dataclass
@@ -91,11 +93,14 @@ class LoraExpert:
 
 @dataclass
 class RouterParams:
-    w_g: Matrix | None = None  # (d, n), absent in mlp_gate mode
-    w_theta: Matrix | None = None  # (d, n), rotmole only
-    q: Matrix | None = None  # (n, r) center vectors, rotmole with r > 2 only
-    mlp_w1: Matrix | None = None  # (d, H), mlp_gate only
-    mlp_w2: Matrix | None = None  # (H, n), mlp_gate only
+    w_g: Matrix | None = None  # (d, n)
+    w_theta: Matrix | None = None  # (d, n)
+    q: Matrix | None = None  # (n, r) center vectors
+    mlp_w1: Matrix | None = None  # (d, H)
+    mlp_w2: Matrix | None = None  # (H, n)
+
+
+_ROUTER_ARRAYS = tuple(f.name for f in fields(RouterParams))
 
 
 @dataclass  # not frozen: a frozen dataclass costs about 1 us more per object
@@ -164,21 +169,30 @@ class BatchCache:
     mlp_hidden: Matrix | None = None
 
 
+def _param_shapes(config: AdapterConfig) -> dict[str, tuple[int, int]]:
+    """The one statement of a `config` layer's layout: the shape of each
+    trainable array, in `trainable_params` order."""
+    d, r, n, h = config.d, config.r, config.n, config.mlp_hidden
+    shapes = {f"{ab}{i}": shape for i in range(n) for ab, shape in (("a", (r, d)), ("b", (d, r)))}
+    if config.mode == "mlp_gate":
+        return shapes | {"mlp_w1": (d, h), "mlp_w2": (h, n)}
+    shapes["w_g"] = (d, n)
+    if config.mode == "rotmole":
+        shapes["w_theta"] = (d, n)
+        if r > 2:
+            shapes["q"] = (n, r)
+    return shapes
+
+
 def count_trainable_routing_params(config: AdapterConfig) -> int:
     """Trainable router size: dn / 2dn / 2dn+rn / dH+Hn depending on mode."""
-    d, r, n = config.d, config.r, config.n
-    if config.mode == "scaling_only":
-        return d * n
-    if config.mode == "rotmole":
-        return 2 * d * n + (r * n if r > 2 else 0)
-    h = config.mlp_hidden
-    return d * h + h * n
+    return sum(math.prod(s) for name, s in _param_shapes(config).items() if name in _ROUTER_ARRAYS)
 
 
 def mlp_hidden_dim(config: AdapterConfig) -> int:
     """Hidden width H that matches an MLP gate's size, dH + Hn, to the
     rotating router's."""
-    target = count_trainable_routing_params(replace(config, mode="rotmole"))
+    target = count_trainable_routing_params(replace(config, mode="rotmole", mlp_hidden=None))
     return max(1, int(math.floor(target / (config.d + config.n) + 0.5)))
 
 
@@ -195,26 +209,22 @@ def draw_param(name: str, shape: tuple[int, int], rng: Rng) -> Matrix:
     return kaiming_uniform(shape[0], shape[1], rng)
 
 
+def _assemble(config: AdapterConfig, w0: Matrix, params: dict[str, np.ndarray]) -> AdapterLayer:
+    """The layer of `config`, W0 `w0` and the `trainable_params` arrays `params`."""
+    experts = [LoraExpert(params.pop(f"a{i}"), params.pop(f"b{i}")) for i in range(config.n)]
+    return AdapterLayer(config, w0, experts, RouterParams(**params))
+
+
 def init_adapter(config: AdapterConfig, rng: Rng) -> AdapterLayer:
     """Fresh layer: B and the rotation gate start at zero so the adapter delta
-    and all angles are exactly zero; everything else is Kaiming-uniform."""
-    d, r, n = config.d, config.r, config.n
-    w0 = kaiming_uniform(d, d, rng)
-    experts = [
-        LoraExpert(a=draw_param(f"a{i}", (r, d), rng), b=np.zeros((d, r))) for i in range(n)
-    ]
-    router = RouterParams()
-    if config.mode == "mlp_gate":
-        h = config.mlp_hidden
-        router.mlp_w1 = draw_param("mlp_w1", (d, h), rng)
-        router.mlp_w2 = draw_param("mlp_w2", (h, n), rng)
-    else:
-        router.w_g = draw_param("w_g", (d, n), rng)
-        if config.mode == "rotmole":
-            router.w_theta = np.zeros((d, n))
-            if r > 2:
-                router.q = draw_param("q", (n, r), rng)
-    return AdapterLayer(config, w0, experts, router)
+    and all angles are exactly zero; W0, then everything else in
+    `_param_shapes` order, is Kaiming-uniform."""
+    w0 = kaiming_uniform(config.d, config.d, rng)
+    params = {}
+    for name, shape in _param_shapes(config).items():
+        zero = name[0] == "b" or name == "w_theta"
+        params[name] = np.zeros(shape) if zero else draw_param(name, shape, rng)
+    return _assemble(config, w0, params)
 
 
 def _gate_logits(layer: AdapterLayer, x: Vector) -> Vector:
@@ -374,22 +384,14 @@ def trainable_params(layer: AdapterLayer) -> dict[str, np.ndarray]:
     """
     out: dict[str, np.ndarray] = {}
     for i, expert in enumerate(layer.experts):
-        out[f"a{i}"] = expert.a
-        out[f"b{i}"] = expert.b
-    out.update(_router_arrays(layer.router))
+        out.update({f"a{i}": expert.a, f"b{i}": expert.b})
+    out.update((name, arr) for name, arr in vars(layer.router).items() if arr is not None)
     return out
-
-
-def _router_arrays(router: RouterParams) -> dict[str, np.ndarray]:
-    """The router arrays the layer's mode has, in field order."""
-    return {
-        f.name: arr for f in fields(RouterParams) if (arr := getattr(router, f.name)) is not None
-    }
 
 
 def routing_param_count(layer: AdapterLayer) -> int:
     """Actual trainable value count in the router arrays."""
-    return sum(arr.size for arr in _router_arrays(layer.router).values())
+    return sum(arr.size for arr in vars(layer.router).values() if arr is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +421,10 @@ def _members(doc, keys, where: str) -> list:
     return [doc[key] for key in keys]
 
 
-def _decode_matrix(obj, like: np.ndarray | None, where: str) -> np.ndarray | None:
-    """The matrix `obj` of a layer document: null where the layout array
-    `like` is None, else a matrix of like's shape."""
-    if like is None:
+def _decode_matrix(obj, shape: tuple[int, int] | None, where: str) -> np.ndarray | None:
+    """The matrix `obj` of a layer document: null where the layout has no
+    array (`shape` None), else a matrix of that shape."""
+    if shape is None:
         if obj is not None:
             raise ConfigError(f"layer field '{where}' must be null for this config")
         return None
@@ -431,45 +433,39 @@ def _decode_matrix(obj, like: np.ndarray | None, where: str) -> np.ndarray | Non
     cols = from_json(int, cols, f"layer field '{where}.cols'")
     if not isinstance(data, list) or not all(map(is_finite_number, data)):
         raise ConfigError(f"layer field '{where}.data' must be a list of finite numbers")
-    if (rows, cols) != like.shape or len(data) != like.size:
+    if (rows, cols) != shape or len(data) != rows * cols:
         raise ConfigError(
-            f"layer field '{where}' must be a {like.shape[0]}x{like.shape[1]} matrix, "
+            f"layer field '{where}' must be a {shape[0]}x{shape[1]} matrix, "
             f"got rows={rows}, cols={cols} and {len(data)} values"
         )
-    return np.array(data, dtype=np.float64).reshape(like.shape)
+    return np.array(data, dtype=np.float64).reshape(shape)
 
 
 def layer_to_doc(layer: AdapterLayer) -> dict:
     return {
         "config": asdict(layer.config),
         "w0": _encode_matrix(layer.w0),
-        "experts": [
-            {"a": _encode_matrix(e.a), "b": _encode_matrix(e.b)} for e in layer.experts
-        ],
-        "router": {
-            f.name: _encode_matrix(getattr(layer.router, f.name)) for f in fields(RouterParams)
-        },
+        "experts": [{"a": _encode_matrix(e.a), "b": _encode_matrix(e.b)} for e in layer.experts],
+        "router": {name: _encode_matrix(getattr(layer.router, name)) for name in _ROUTER_ARRAYS},
     }
 
 
 def layer_from_doc(doc) -> AdapterLayer:
-    """Inverse of `layer_to_doc`. The document must hold the arrays that
-    `init_adapter` gives its config, with the same shapes, and no others."""
+    """Inverse of `layer_to_doc`. The document must hold a (d, d) W0 and the
+    arrays of its config's `_param_shapes`, with those shapes, and no others."""
     config, w0, experts, router = _members(doc, ("config", "w0", "experts", "router"), "")
     config = from_doc(AdapterConfig, config, "config")
-    layer = init_adapter(config, Rng(0))  # the layout the document must match
-    layer.w0 = _decode_matrix(w0, layer.w0, "w0")
+    w0 = _decode_matrix(w0, (config.d, config.d), "w0")
     if not isinstance(experts, list) or len(experts) != config.n:
         raise ConfigError(f"layer field 'experts' must be a list of n={config.n} experts")
-    for i, (expert, expert_doc) in enumerate(zip(layer.experts, experts)):
-        a, b = _members(expert_doc, ("a", "b"), f"experts.{i}")
-        expert.a = _decode_matrix(a, expert.a, f"experts.{i}.a")
-        expert.b = _decode_matrix(b, expert.b, f"experts.{i}.b")
-    names = [f.name for f in fields(RouterParams)]
-    for name, obj in zip(names, _members(router, names, "router")):
-        like = getattr(layer.router, name)
-        setattr(layer.router, name, _decode_matrix(obj, like, f"router.{name}"))
-    return layer
+    shapes = _param_shapes(config)
+    params = {}
+    for i, expert_doc in enumerate(experts):
+        for key, obj in zip("ab", _members(expert_doc, ("a", "b"), f"experts.{i}")):
+            params[f"{key}{i}"] = _decode_matrix(obj, shapes[f"{key}{i}"], f"experts.{i}.{key}")
+    for name, obj in zip(_ROUTER_ARRAYS, _members(router, _ROUTER_ARRAYS, "router")):
+        params[name] = _decode_matrix(obj, shapes.get(name), f"router.{name}")
+    return _assemble(config, w0, params)
 
 
 def load_layer(path) -> AdapterLayer:

@@ -117,15 +117,18 @@ def train(
 ) -> tuple[AdapterLayer, list[MetricsRecord], list[ThetaRecord]]:
     """Run the SGD loop in place; returns the layer with metrics and angle logs.
 
-    `data_rng` supplies every batch, so the whole run is a pure function of
-    the layer, the specs, and the rng state it arrives with. Raises
-    TrainingDiverged on a non-finite training loss or held-out MSE, or when a
-    parameter is not finite after the last update: under SGD a non-finite
-    value never turns finite again, so one check at the end covers every step.
-    When `layer.w0` has the layout and raw bits of the specs' W0* (-0.0 is
-    not 0.0), each step computes W0 x once, for the targets and the prediction.
+    `data_rng` supplies every batch, so the whole run is a pure function of the
+    layer, the specs and the rng state it arrives with. Raises ValueError
+    before any draw when `probe_expert` is outside [0, n), and TrainingDiverged
+    on a non-finite training loss or held-out MSE, or when a parameter is not
+    finite after the last update: under SGD a non-finite value never turns
+    finite again, so one check at the end covers every step. When `layer.w0`
+    has the layout and raw bits of the specs' W0* (-0.0 is not 0.0), each step
+    computes W0 x once, for the targets and the prediction.
     """
-    d = layer.config.d
+    d, n = layer.config.d, layer.config.n
+    if not 0 <= probe_expert < n:
+        raise ValueError(f"probe_expert={probe_expert} outside [0, n={n})")
     batch_size = data_cfg.batch_size
     metrics: list[MetricsRecord] = []
     thetas: list[ThetaRecord] = []

@@ -41,6 +41,9 @@ def test_config_validation():
         AdapterConfig(d=4, r=2, n=2, k=1, mode="nope")
     with pytest.raises(ConfigError):
         AdapterConfig(d=4, r=2, n=2, k=1, mode="mlp_gate")  # needs mlp_hidden
+    for mode in ("rotmole", "scaling_only"):
+        with pytest.raises(ConfigError, match="mlp_hidden must be null outside mlp_gate mode: 5"):
+            AdapterConfig(d=4, r=2, n=2, k=1, mode=mode, mlp_hidden=5)
 
 
 def test_init_forward_equals_base_map():
@@ -236,10 +239,14 @@ def test_param_counts_formulas():
 
 def test_param_counts_match_enumeration():
     for mode in ("scaling_only", "rotmole", "mlp_gate"):
-        for r in (2, 3):
-            config = small_config(mode, r=r)
-            layer = init_adapter(config, Rng(1))
-            assert routing_param_count(layer) == count_trainable_routing_params(config)
+        for r in (2, 3, 4):
+            for n in (1, 4):
+                config = small_config(mode, r=r, n=n, k=min(2, n))
+                layer = init_adapter(config, Rng(1))
+                assert routing_param_count(layer) == count_trainable_routing_params(config)
+                # the layout table names the layer's arrays, in order, with their shapes
+                built = [(name, arr.shape) for name, arr in trainable_params(layer).items()]
+                assert built == list(adapter._param_shapes(config).items()), config
 
 
 def test_trainable_params_excludes_frozen_base():
@@ -349,6 +356,10 @@ def test_layer_file_wrong_shape_rejected():
     doc["experts"].pop()
     with pytest.raises(ConfigError, match="n=4 experts"):
         layer_from_doc(doc)
+    doc = _layer_doc()
+    doc["config"]["d"] = 2**20  # the layout is checked, never allocated: W0 would take 8 TiB
+    with pytest.raises(ConfigError, match=r"'w0' must be a 1048576x1048576 matrix"):
+        layer_from_doc(doc)
 
 
 def test_layer_file_sizes_take_whole_numbers_only():
@@ -361,6 +372,34 @@ def test_layer_file_sizes_take_whole_numbers_only():
             layer_from_doc(doc)
         doc["router"][name][key] = 1.0  # a whole float is taken as an int, as in configs
         assert np.array_equal(getattr(layer_from_doc(doc).router, name), getattr(layer.router, name))
+
+
+def test_layer_file_draws_nothing(monkeypatch):
+    # The loader takes the layout from the shape table, not from a throwaway
+    # random layer.
+    layers = [init_adapter(small_config(mode, r=r), Rng(79)) for mode in MODES for r in (2, 3)]
+    docs = [json.loads(json.dumps(layer_to_doc(layer))) for layer in layers]
+
+    def no_draw(*args):
+        raise AssertionError("layer_from_doc drew a random matrix")
+
+    monkeypatch.setattr(adapter, "kaiming_uniform", no_draw)
+    for layer, doc in zip(layers, docs):
+        back = layer_from_doc(doc)
+        assert back.config == layer.config
+        assert np.array_equal(back.w0, layer.w0)
+        assert trainable_params(back).keys() == trainable_params(layer).keys()
+        for name, arr in trainable_params(layer).items():
+            assert np.array_equal(trainable_params(back)[name], arr), name
+
+
+def test_layer_file_mlp_hidden_outside_mlp_gate_rejected(tmp_path):
+    doc = _layer_doc()
+    doc["config"]["mlp_hidden"] = 5
+    path = tmp_path / "layer.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=r"^config\.mlp_hidden must be null outside mlp_gate"):
+        load_layer(path)
 
 
 def test_layer_file_array_foreign_to_mode_rejected():

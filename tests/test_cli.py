@@ -1,10 +1,12 @@
 import copy
+import dataclasses
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -119,8 +121,9 @@ def test_probe_expert_bounds(tmp_path):
     ("adapter", "r", 2, "adapter.r"),  # disagrees with dataset.r
     ("dataset", "seed", 2**64, "dataset.seed"),  # would run as seed 0
     ("train", "seed", -1, "train.seed"),  # would run as seed 2^64 - 1
+    ("adapter", "mlp_hidden", 5, "adapter.mlp_hidden"),  # only mlp_gate mode has the MLP
 ], ids=["train.lr", "top-level", "steps", "lr0", "noise_std", "k", "d", "r", "dataset.seed",
-        "train.seed"])
+        "train.seed", "mlp_hidden"])
 def test_bad_field_exit_2_names_it(tmp_path, capsys, section, key, value, field):
     path = write_config(tmp_path)
     doc = json.loads(path.read_text())
@@ -164,6 +167,28 @@ def test_readme_example_config_loads(tmp_path):
     config = load_experiment_config(path)
     assert config.adapter.mode == "rotmole"
     assert config.train.steps == 3000
+
+
+def config_defaults(cls, prefix=""):
+    """Dotted name to default of every defaulted field of the config
+    dataclass `cls` and of the config dataclasses it nests."""
+    out = {}
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(hints[f.name]):
+            out.update(config_defaults(hints[f.name], f"{prefix}{f.name}."))
+        elif f.default is not dataclasses.MISSING:
+            out[prefix + f.name] = f.default
+    return out
+
+
+def test_readme_lists_every_config_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listing = readme.split("Each optional field has one default:", 1)[1]
+    listing = listing.split("Every other field", 1)[0]
+    listed = {name: json.loads(value)
+              for name, value in re.findall(r"`([\w.]+)`\s+`([^`]+)`", listing)}
+    assert listed == config_defaults(cli.ExperimentConfig)
 
 
 def test_readme_python_blocks_run():

@@ -1,4 +1,5 @@
 import ast
+import copy
 import json
 import math
 from pathlib import Path
@@ -159,6 +160,15 @@ def test_theta_records_zero_at_step_zero_and_in_range():
         if rec.step == 0:
             assert rec.theta == 0.0
     assert {rec.task_id for rec in thetas} == {0, 1}
+
+
+def test_probe_expert_outside_the_layer_rejected_before_any_draw():
+    for probe in (2, -1, 7):
+        layer, specs, data_cfg, train_cfg, rng, eval_samples = setup_run(n=2)
+        twin = copy.deepcopy(rng)
+        with pytest.raises(ValueError, match=rf"probe_expert={probe} outside \[0, n=2\)"):
+            train(layer, specs, data_cfg, train_cfg, rng, eval_samples, probe_expert=probe)
+        assert rng.next_u64() == twin.next_u64()  # no batch was drawn
 
 
 def test_evaluate_exact_fit_and_purity():
