@@ -122,12 +122,17 @@ def run_experiment(config: ExperimentConfig, mode: str | None = None) -> Experim
     return ExperimentResult(layer, metrics, thetas, specs, final)
 
 
+@dataclass(frozen=True)
+class LogHeader:
+    """Line 1 of each log `train` writes: the run's two seeds."""
+
+    type: str
+    init_seed: int
+    data_seed: int
+
+
 def _seed_header(config: ExperimentConfig) -> dict:
-    return {
-        "type": "header",
-        "init_seed": config.train.seed,
-        "data_seed": config.dataset.seed,
-    }
+    return asdict(LogHeader("header", config.train.seed, config.dataset.seed))
 
 
 def _jsonl(header: dict, records) -> str:
@@ -237,10 +242,11 @@ def cmd_paramcount(config: ExperimentConfig) -> int:
 def _load_theta_records(path: Path) -> list[ThetaRecord]:
     records = []
     for ln, doc in read_json(path, lines=True):
-        if isinstance(doc, dict) and doc.get("type") == "header":
-            continue
         try:
-            records.append(from_doc(ThetaRecord, doc, "record"))
+            if ln == 1 and isinstance(doc, dict) and doc.get("type") == "header":
+                from_doc(LogHeader, doc, "header")
+            else:
+                records.append(from_doc(ThetaRecord, doc, "record"))
         except ConfigError as e:
             raise ConfigError(f"{path}:{ln}: {e}") from None
     if not records:

@@ -95,10 +95,21 @@ def from_json(tp, value, name: str):
     return value
 
 
+def _unique_keys(pairs) -> dict:
+    """The JSON object of `pairs`, refusing a key that occurs twice."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"duplicate key '{key}'")
+        doc[key] = value
+    return doc
+
+
 def read_json(path, kind: str = "", *, lines: bool = False):
     """The JSON document in the UTF-8 file `path`; with `lines`, the (line
     number, document) of each non-blank line. A file that cannot be read, is
-    not UTF-8 or not JSON raises a one-line ConfigError naming "<kind> <path>"."""
+    not UTF-8 or not JSON, or holds an object with a duplicate key, raises a
+    one-line ConfigError naming "<kind> <path>" (and the line)."""
     name = f"{kind} {path}" if kind else str(path)
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -108,16 +119,20 @@ def read_json(path, kind: str = "", *, lines: bool = False):
         raise ConfigError(f"{name} is not valid UTF-8: {e}")
     if not lines:
         try:
-            return json.loads(text)
+            return json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as e:
             raise ConfigError(f"{name} is not valid JSON: {e}")
+        except ConfigError as e:
+            raise ConfigError(f"{name}: {e}") from None
     docs = []
     for ln, line in enumerate(text.splitlines(), 1):
         if line.strip():
             try:
-                docs.append((ln, json.loads(line)))
+                docs.append((ln, json.loads(line, object_pairs_hook=_unique_keys)))
             except json.JSONDecodeError as e:
                 raise ConfigError(f"{name}:{ln}: invalid JSON: {e}")
+            except ConfigError as e:
+                raise ConfigError(f"{name}:{ln}: {e}") from None
     return docs
 
 

@@ -435,6 +435,14 @@ def test_load_layer_invalid_json_names_path(tmp_path):
     assert "\n" not in str(info.value)
 
 
+def test_load_layer_duplicate_key_names_it(tmp_path):
+    path = tmp_path / "layer.json"
+    path.write_text(json.dumps(_layer_doc()).replace('"router": {', '"router": {"w_g": null, '))
+    with pytest.raises(ConfigError) as info:
+        load_layer(path)
+    assert str(info.value) == f"layer {path}: duplicate key 'w_g'"
+
+
 def test_load_layer_not_utf8_names_path(tmp_path):
     path = tmp_path / "layer.json"
     path.write_bytes(b"\xff\xfe{")

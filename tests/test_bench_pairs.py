@@ -10,8 +10,10 @@ import importlib.util
 import json
 import os
 import signal
+import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy  # noqa: F401  (loaded, as in any pytest run of the suite)
@@ -195,14 +197,15 @@ def test_main_exits_1_on_a_bad_run_or_a_metric_beyond_its_bound(
     )
 
     @contextlib.contextmanager
-    def checkouts(rev):
+    def scratch_checkouts(**revs):
+        assert revs == {"parent": "HEAD", "change": None}
         yield Path("parent"), Path("change")
 
     def run_side(checkout, workload, seed, seconds):
         return dict(change if checkout.name == "change" else run(1.0, 1.0))
 
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
-    monkeypatch.setattr(bench_pairs, "checkouts", checkouts)
+    monkeypatch.setattr(bench_pairs, "scratch_checkouts", scratch_checkouts)
     monkeypatch.setattr(bench_pairs, "run_side", run_side)
     monkeypatch.setattr(bench_pairs.signal, "signal", lambda *args: None)
     argv = ["--parent", "HEAD", "--workload", "small-compare", "--seeds", "1-2", "--seconds", "1"]
@@ -217,13 +220,17 @@ def test_main_exits_1_on_a_bad_run_or_a_metric_beyond_its_bound(
     (["--seeds", "5-3"], "--seeds: bad range '5-3'"),
     (["--seeds", "x"], "--seeds: invalid literal"),
     (["--seconds", "x"], "--seconds: invalid float value: 'x'"),
+    (["--seconds", "-5"], "--seconds must be a finite number >= 0, got -5.0"),
+    (["--seconds", "nan"], "--seconds must be a finite number >= 0, got nan"),
+    (["--seconds", "inf"], "--seconds must be a finite number >= 0, got inf"),
     (["--parent"], "--parent: expected one argument"),
-], ids=["workload", "seed-range", "seed", "seconds", "no-parent"])
+], ids=["workload", "seed-range", "seed", "seconds", "seconds-negative", "seconds-nan",
+        "seconds-inf", "no-parent"])
 def test_main_rejects_bad_arguments_before_any_checkout(monkeypatch, capsys, flags, message):
-    def checkouts(rev):
+    def scratch_checkouts(**revs):
         raise AssertionError("a checkout was made")
 
-    monkeypatch.setattr(bench_pairs, "checkouts", checkouts)
+    monkeypatch.setattr(bench_pairs, "scratch_checkouts", scratch_checkouts)
     argv = ["--parent", "HEAD", "--workload", "small-compare", "--seeds", "1", "--seconds", "1"]
     with pytest.raises(SystemExit) as exit_info:
         bench_pairs.main(argv + flags)  # a repeated option's last value counts
@@ -269,7 +276,7 @@ def test_checkouts_hold_the_revision_and_the_working_tree(repo, tmp_path):
     (repo / "new").mkdir()
     (repo / "new" / "untracked.py").write_text("untracked\n")
     (repo / "run.log").write_text("ignored\n")
-    with bench_pairs.checkouts("HEAD") as (parent, change):
+    with bench_pairs.scratch_checkouts(parent="HEAD", change=None) as (parent, change):
         assert parent.parent == change.parent
         assert parent.parent.parent == tmp_path / "scratch"
         assert files(parent) == [".gitignore", "BENCHMARK.json", "pkg/gone.py", "pkg/kept.py"]
@@ -279,10 +286,56 @@ def test_checkouts_hold_the_revision_and_the_working_tree(repo, tmp_path):
         assert (change / "pkg" / "kept.py").read_text() == "edited\n"
 
 
+def test_a_revision_and_the_same_working_tree_check_out_alike(repo):
+    """Names, bytes and mode bits agree, and every file's mtime is the
+    extraction's, not the working tree's."""
+    (repo / "tool.sh").write_text("#!/bin/sh\n")
+    (repo / "tool.sh").chmod(0o755)
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "tool")
+    for path in repo.rglob("*"):
+        if ".git" not in path.parts:
+            os.utime(path, (1e9, 1e9))  # 2001: long before any extraction
+    start = int(time.time())
+    with bench_pairs.scratch_checkouts(parent="HEAD", change=None) as (parent, change):
+        sides = [{name: ((side / name).read_bytes(), stat.S_IMODE((side / name).stat().st_mode))
+                  for name in files(side)} for side in (parent, change)]
+        mtimes = [(side / name).stat().st_mtime for side in (parent, change)
+                  for name in files(side)]
+    assert sides[0] == sides[1]
+    assert sorted(sides[0]) == [".gitignore", "BENCHMARK.json", "pkg/gone.py", "pkg/kept.py",
+                                "tool.sh"]
+    assert sides[0]["tool.sh"][1] & 0o100 and not sides[0]["pkg/kept.py"][1] & 0o100
+    assert min(mtimes) >= start
+
+
+def status(root):
+    return subprocess.run(["git", "-C", str(root), "status", "--porcelain"], check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_a_working_tree_checkout_leaves_the_repository_as_it_was(repo):
+    """An edited, an untracked and a deleted file: the checkout holds them,
+    and `.git` (index, objects, refs), the files and `git status` are unchanged."""
+    (repo / "pkg" / "kept.py").write_text("edited\n")
+    (repo / "pkg" / "gone.py").unlink()
+    (repo / "new.py").write_text("untracked\n")
+    status_before = status(repo)  # may refresh the index, so it runs first
+    assert status_before == " D pkg/gone.py\n M pkg/kept.py\n?? new.py\n"
+    before = {name: (repo / name).read_bytes() for name in files(repo)}
+    assert {".git/index", ".git/HEAD"} <= before.keys()
+    assert all(any(name.startswith(f".git/{d}/") for name in before) for d in ("objects", "refs"))
+    with bench_pairs.scratch_checkouts(change=None) as (change,):
+        assert files(change) == [".gitignore", "BENCHMARK.json", "new.py", "pkg/kept.py"]
+        assert (change / "pkg" / "kept.py").read_text() == "edited\n"
+    assert {name: (repo / name).read_bytes() for name in files(repo)} == before
+    assert status(repo) == status_before
+
+
 @pytest.mark.parametrize("error", [None, KeyError("body")], ids=["exit", "error"])
 def test_checkouts_are_removed_on_exit_and_after_an_error(repo, tmp_path, error):
     with pytest.raises(KeyError) if error else contextlib.nullcontext():
-        with bench_pairs.checkouts("HEAD") as (parent, change):
+        with bench_pairs.scratch_checkouts(parent="HEAD", change=None) as (parent, change):
             assert parent.is_dir() and change.is_dir()
             if error:
                 raise error
@@ -298,7 +351,7 @@ def test_main_reports_a_failed_checkout(repo, tmp_path, monkeypatch, capsys):
     assert bench_pairs.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: git -C {repo} archive no-such-rev exited 128\n"
+    assert captured.err == f"error: git -C {repo} archive no-such-rev^{{tree}} exited 128\n"
     assert list((tmp_path / "scratch").iterdir()) == []
 
 

@@ -86,6 +86,17 @@ def test_load_config_not_utf8_exit_2(tmp_path, capsys):
     assert "bad.json is not valid UTF-8" in err[0], err[0]
 
 
+def test_load_config_duplicate_key_exit_2(tmp_path, capsys):
+    """A key given twice is refused, not read as its last value."""
+    path = write_config(tmp_path)
+    text = path.read_text()
+    assert '"lr0": 0.0003' in text
+    path.write_text(text.replace('"lr0": 0.0003', '"lr0": 0.1, "lr0": 5.0'))
+    assert main(["paramcount", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: config {path}: duplicate key 'lr0'"]
+
+
 def test_load_config_cross_field_validation(tmp_path):
     path = write_config(tmp_path)
     doc = json.loads(path.read_text())
@@ -481,6 +492,31 @@ def test_analyze_bad_record_exit_2(tmp_path, capsys, line, field):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert "thetas.jsonl:2: " in err[0] and re.search(rf"\b{re.escape(field)}\b", err[0]), err[0]
+
+
+HEADER = '{"type": "header", "init_seed": 1, "data_seed": 2}'
+RECORD = '{"step": 0, "task_id": 0, "expert_index": 0, "theta": 0.5}'
+
+
+@pytest.mark.parametrize("lines, where, field", [
+    ([HEADER.replace("2}", '2, "bogus": 3}'), RECORD], 1, "header.bogus"),
+    ([HEADER, RECORD, HEADER], 3, "record.type"),  # a header belongs on line 1 only
+    (["", HEADER, RECORD], 2, "record.type"),
+    ([HEADER.replace('"init_seed": 1', '"init_seed": 1.5'), RECORD], 1, "header.init_seed"),
+    ([HEADER.replace('"data_seed": 2', '"data_seed": true'), RECORD], 1, "header.data_seed"),
+    ([HEADER.replace(', "data_seed": 2', ""), RECORD], 1, "header.data_seed"),
+    ([HEADER, RECORD.replace("0.5}", '0.5, "theta": 0.7}')], 2, "duplicate key 'theta'"),
+], ids=["extra-key", "late-header", "header-on-line-2", "fractional-seed", "bool-seed",
+        "missing-seed", "duplicate-key"])
+def test_analyze_bad_header_exit_2(tmp_path, capsys, lines, where, field):
+    """The log's one header is line 1, exactly as `train` writes it."""
+    thetas = tmp_path / "thetas.jsonl"
+    thetas.write_text("\n".join(lines) + "\n")
+    assert main(["analyze", "--thetas", str(thetas), "--snapshots", "0"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert f"thetas.jsonl:{where}: " in err[0] and field in err[0], err[0]
+    assert not (tmp_path / "summary.csv").exists()
 
 
 def test_compare_single_task_control(tmp_path, capsys):

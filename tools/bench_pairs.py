@@ -2,29 +2,28 @@
 
     python3 tools/bench_pairs.py --parent <rev> --workload W --seeds 31-40 --seconds 30
 
-The change is this repository's working tree; the parent is <rev>. Both run
-from one temporary directory, removed on exit (also after an error, Ctrl-C
-or SIGTERM): the parent as `parent/`, unpacked from `git archive`, which
-leaves the repository's git state alone, and the change as `change/`, a copy
-of the working tree's tracked and untracked, not ignored, files. The two
-paths have the same length. With the change run from the repository itself instead, an
-A/A run (the same commit on both sides) read wide-train's rotmole_r2 rate
-7.5% and its eval rate 4% apart, in every pair. For each seed both sides run
-`benchmarks/run.py --trace 0`, and the side that runs first alternates from
-seed to seed. Progress goes to stderr. The last stdout line
-is one JSON object: for each end-to-end metric of BENCHMARK.json, each
-side's median and quartiles, the ratio of the medians (change over parent)
-and the pairs the change wins (ties count for neither side); each side's
-rounds as a median and quartiles; each pair's rounds and `peak_rss_mb` per
-side, since the benchmark's memory follows its round count; the metrics
-whose change median is worse than the parent's by more than their
-BENCHMARK.json bound; and every run that read `correct: false` (with the
-checks it failed) or `failed > 0`, or printed no result, with its rounds
-when it printed a result: the benchmark's directional and learning checks
-depend on the round count, so a failed run compares only with a parent run
-of as many rounds. The exit code is 1 when
-either of those two lists is non-empty, so a script that runs the pairs
-stops there.
+The change is this repository's working tree; the parent is <rev>. Each side
+is made one way: `git archive` of a tree, unpacked as `parent/` or `change/`
+in one temporary directory removed on exit (also after an error, Ctrl-C or
+SIGTERM). The working tree's tree, its tracked and untracked, not ignored,
+files, is written through a temporary index and object store, so the
+repository's index, objects, refs and files stay as they are. An archive of a
+tree stamps each file with the time it is made, so the sides differ only in
+their directory names, which have the same length. For each seed both sides
+run `benchmarks/run.py --trace 0`, and the side that runs first alternates
+from seed to seed. Progress goes to stderr. The last stdout line is one JSON
+object: for each end-to-end metric of BENCHMARK.json, each side's median and
+quartiles, the ratio of the medians (change over parent) and the pairs the
+change wins (ties count for neither side); each side's rounds as a median and
+quartiles; each pair's rounds and `peak_rss_mb` per side, since the
+benchmark's memory follows its round count; the metrics whose change median is
+worse than the parent's by more than their BENCHMARK.json bound; and every run
+that read `correct: false` (with the checks it failed) or `failed > 0`, or
+printed no result, with its rounds when it printed a result: the benchmark's
+directional and learning checks depend on the round count, so a failed run
+compares only with a parent run of as many rounds. The exit code is 1 when
+either of those two lists is non-empty, so a script that runs the pairs stops
+there.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import shutil
 import signal
@@ -150,39 +150,34 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 @contextlib.contextmanager
 def scratch_checkouts(**revs: str | None):
-    """For each keyword, a directory of that name holding the files of its
-    revision, or a copy of the working tree for None; the directories, in
-    order, sit side by side in a temporary directory removed on exit."""
+    """For each keyword, a directory of that name holding `git archive` of
+    its revision's tree, or of the working tree's for None; the directories,
+    in order, sit side by side in a temporary directory removed on exit. The
+    working tree's tree is written through a temporary index and object store
+    that reads the repository's objects, so the repository is left as it was."""
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    store, env = tmp / "store", dict(os.environ)
+
+    def git(*args: str) -> bytes:
+        return subprocess.run(["git", "-C", str(ROOT), *args], env=env, check=True,
+                              capture_output=True).stdout
+
     try:
+        objects = git("rev-parse", "--path-format=absolute", "--git-path", "objects")
+        (store / "objects").mkdir(parents=True)
+        env.update(GIT_INDEX_FILE=str(store / "index"), GIT_OBJECT_DIRECTORY=str(store / "objects"),
+                   GIT_ALTERNATE_OBJECT_DIRECTORIES=objects.decode().strip())
         for name, rev in revs.items():
-            (tmp / name).mkdir()
             if rev is None:
-                copy_working_tree(tmp / name)
-            else:
-                archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
-                                         check=True, capture_output=True).stdout
-                subprocess.run(["tar", "-x", "-C", str(tmp / name)], input=archive, check=True)
+                git("read-tree", "HEAD")
+                git("add", "-A")
+                rev = git("write-tree").decode().strip()
+            (tmp / name).mkdir()
+            subprocess.run(["tar", "-x", "-C", str(tmp / name)],
+                           input=git("archive", f"{rev}^{{tree}}"), check=True)
         yield [tmp / name for name in revs]
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-
-
-def copy_working_tree(dest: Path) -> None:
-    """Copy the working tree's tracked and untracked, not ignored, files into `dest`."""
-    listed = subprocess.run(
-        ["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
-        check=True, capture_output=True, text=True,
-    ).stdout
-    for name in filter(None, listed.split("\0")):
-        if (ROOT / name).is_file():  # a deleted tracked file is still listed
-            (dest / name).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(ROOT / name, dest / name)
-
-
-def checkouts(rev: str):
-    """(parent, change): the files of `rev` and a copy of the working tree."""
-    return scratch_checkouts(parent=rev, change=None)
 
 
 def load_harness(checkout: Path):
@@ -210,12 +205,14 @@ def main(argv=None) -> int:
         seeds = parse_seeds(args.seeds)
     except ValueError as e:
         parser.error(f"--seeds: {e}")
+    if not (math.isfinite(args.seconds) and args.seconds >= 0):
+        parser.error(f"--seconds must be a finite number >= 0, got {args.seconds}")
     metrics = benchmark["end_to_end"]
     # SIGTERM unwinds like Ctrl-C, so the checkouts are removed either way.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     pairs = []
     try:
-        with checkouts(args.parent) as (parent, change):
+        with scratch_checkouts(parent=args.parent, change=None) as (parent, change):
             for n, seed in enumerate(seeds):
                 sides = {"parent": parent, "change": change}
                 order = ("parent", "change") if n % 2 == 0 else ("change", "parent")

@@ -10,14 +10,14 @@ each run is exactly R rounds, checked as `benchmarks/run.py` checks them.
 Compare a failed benchmark run with the same seed and rounds on the parent
 commit: a verdict the parent shares there is not the change's.
 
-The code runs from a checkout of `--rev` (default: a copy of the working
-tree) in a temporary directory removed on exit, made as `tools/bench_pairs.py`
-makes its checkouts. The harness's attribute is set in this process only;
-no file under `benchmarks/` changes. Every BLAS pool is pinned to one thread
-by importing the checkout's `benchmarks/run.py`, before numpy loads. Each R
-prints one JSON line with `rounds`, `correct`, `failed` and `problems`. The
-exit code is 1 when some R read `correct: false` or `failed > 0`, and 2 on a
-usage error.
+The code runs from `git archive` of the tree of `--rev` (default: the working
+tree's tracked and untracked, not ignored, files), unpacked in a temporary
+directory removed on exit, as `tools/bench_pairs.py` makes each of its
+checkouts. The harness's attribute is set in this process only; no file under
+`benchmarks/` changes. Every BLAS pool is pinned to one thread by importing
+the checkout's `benchmarks/run.py`, before numpy loads. Each R prints one JSON
+line with `rounds`, `correct`, `failed` and `problems`. The exit code is 1
+when some R read `correct: false` or `failed > 0`, and 2 on a usage error.
 """
 
 from __future__ import annotations
