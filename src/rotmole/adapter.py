@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -32,8 +32,6 @@ from .numkit import (
     ShapeError,
     Vector,
     from_doc,
-    from_json,
-    is_finite_number,
     kaiming_uniform,
     matvec,
     read_json,
@@ -93,11 +91,11 @@ class LoraExpert:
 
 @dataclass
 class RouterParams:
-    w_g: Matrix | None = None  # (d, n)
-    w_theta: Matrix | None = None  # (d, n)
-    q: Matrix | None = None  # (n, r) center vectors
-    mlp_w1: Matrix | None = None  # (d, H)
-    mlp_w2: Matrix | None = None  # (H, n)
+    w_g: Matrix | None  # (d, n)
+    w_theta: Matrix | None  # (d, n)
+    q: Matrix | None  # (n, r) center vectors
+    mlp_w1: Matrix | None  # (d, H)
+    mlp_w2: Matrix | None  # (H, n)
 
 
 _ROUTER_ARRAYS = tuple(f.name for f in fields(RouterParams))
@@ -209,22 +207,17 @@ def draw_param(name: str, shape: tuple[int, int], rng: Rng) -> Matrix:
     return kaiming_uniform(shape[0], shape[1], rng)
 
 
-def _assemble(config: AdapterConfig, w0: Matrix, params: dict[str, np.ndarray]) -> AdapterLayer:
-    """The layer of `config`, W0 `w0` and the `trainable_params` arrays `params`."""
-    experts = [LoraExpert(params.pop(f"a{i}"), params.pop(f"b{i}")) for i in range(config.n)]
-    return AdapterLayer(config, w0, experts, RouterParams(**params))
-
-
 def init_adapter(config: AdapterConfig, rng: Rng) -> AdapterLayer:
     """Fresh layer: B and the rotation gate start at zero so the adapter delta
     and all angles are exactly zero; W0, then everything else in
     `_param_shapes` order, is Kaiming-uniform."""
     w0 = kaiming_uniform(config.d, config.d, rng)
-    params = {}
+    params = dict.fromkeys(_ROUTER_ARRAYS)
     for name, shape in _param_shapes(config).items():
         zero = name[0] == "b" or name == "w_theta"
         params[name] = np.zeros(shape) if zero else draw_param(name, shape, rng)
-    return _assemble(config, w0, params)
+    experts = [LoraExpert(params.pop(f"a{i}"), params.pop(f"b{i}")) for i in range(config.n)]
+    return AdapterLayer(config, w0, experts, RouterParams(**params))
 
 
 def _gate_logits(layer: AdapterLayer, x: Vector) -> Vector:
@@ -252,6 +245,14 @@ def route(layer: AdapterLayer, x: Vector, *, force_selected=None) -> RoutingDeci
         selected = tuple(order[: config.k])
     else:
         selected = tuple(force_selected)
+        # A plain loop: finite differences pin every forward, and all() over
+        # a generator costs about twice as much per call.
+        for i in selected:
+            if not ((type(i) is int or isinstance(i, np.integer)) and 0 <= i < config.n):
+                selected = ()  # refused below
+        if len(selected) != config.k or len(set(selected)) != config.k:
+            raise ValueError(f"force_selected must be k={config.k} distinct expert indices "
+                             f"in [0, n={config.n}), got {force_selected!r}")
     # Renormalizing the selected softmax values cancels the full denominator,
     # so compute g directly from the selected logits: same value, and exactly
     # independent of unselected logits. One finite logit l gives exactly 1
@@ -395,77 +396,33 @@ def routing_param_count(layer: AdapterLayer) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# Serialization: `numkit.to_doc` writes a layer, `layer_from_doc` reads it
 # ---------------------------------------------------------------------------
 
 
-def _encode_matrix(m: np.ndarray | None):
-    if m is None:
-        return None
-    return {"rows": m.shape[0], "cols": m.shape[1], "data": m.flatten().tolist()}
-
-
-def _members(doc, keys, where: str) -> list:
-    """The values of a layer-document object that must hold exactly `keys`,
-    in that order; `where` is the object's dotted name."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"layer field '{where}' must be a JSON object" if where
-                          else "layer must be a JSON object")
-    prefix = f"{where}." if where else ""
-    for key in keys:
-        if key not in doc:
-            raise ConfigError(f"layer missing field '{prefix}{key}'")
-    for key in doc:
-        if key not in keys:
-            raise ConfigError(f"unknown layer field '{prefix}{key}'")
-    return [doc[key] for key in keys]
-
-
-def _decode_matrix(obj, shape: tuple[int, int] | None, where: str) -> np.ndarray | None:
-    """The matrix `obj` of a layer document: null where the layout has no
-    array (`shape` None), else a matrix of that shape."""
-    if shape is None:
-        if obj is not None:
-            raise ConfigError(f"layer field '{where}' must be null for this config")
-        return None
-    rows, cols, data = _members(obj, ("rows", "cols", "data"), where)
-    rows = from_json(int, rows, f"layer field '{where}.rows'")
-    cols = from_json(int, cols, f"layer field '{where}.cols'")
-    if not isinstance(data, list) or not all(map(is_finite_number, data)):
-        raise ConfigError(f"layer field '{where}.data' must be a list of finite numbers")
-    if (rows, cols) != shape or len(data) != rows * cols:
-        raise ConfigError(
-            f"layer field '{where}' must be a {shape[0]}x{shape[1]} matrix, "
-            f"got rows={rows}, cols={cols} and {len(data)} values"
-        )
-    return np.array(data, dtype=np.float64).reshape(shape)
-
-
-def layer_to_doc(layer: AdapterLayer) -> dict:
-    return {
-        "config": asdict(layer.config),
-        "w0": _encode_matrix(layer.w0),
-        "experts": [{"a": _encode_matrix(e.a), "b": _encode_matrix(e.b)} for e in layer.experts],
-        "router": {name: _encode_matrix(getattr(layer.router, name)) for name in _ROUTER_ARRAYS},
-    }
-
-
 def layer_from_doc(doc) -> AdapterLayer:
-    """Inverse of `layer_to_doc`. The document must hold a (d, d) W0 and the
-    arrays of its config's `_param_shapes`, with those shapes, and no others."""
-    config, w0, experts, router = _members(doc, ("config", "w0", "experts", "router"), "")
-    config = from_doc(AdapterConfig, config, "config")
-    w0 = _decode_matrix(w0, (config.d, config.d), "w0")
-    if not isinstance(experts, list) or len(experts) != config.n:
-        raise ConfigError(f"layer field 'experts' must be a list of n={config.n} experts")
+    """The layer of the `to_doc` document `doc`. It must hold a (d, d) W0, n
+    experts and the arrays of its config's `_param_shapes`, with those
+    shapes, and null for every other router array."""
+    layer = from_doc(AdapterLayer, doc, "layer")
+    config = layer.config
+    if len(layer.experts) != config.n:
+        raise ConfigError(
+            f"layer.experts must be a list of n={config.n} experts, got {len(layer.experts)}"
+        )
     shapes = _param_shapes(config)
-    params = {}
-    for i, expert_doc in enumerate(experts):
-        for key, obj in zip("ab", _members(expert_doc, ("a", "b"), f"experts.{i}")):
-            params[f"{key}{i}"] = _decode_matrix(obj, shapes[f"{key}{i}"], f"experts.{i}.{key}")
-    for name, obj in zip(_ROUTER_ARRAYS, _members(router, _ROUTER_ARRAYS, "router")):
-        params[name] = _decode_matrix(obj, shapes.get(name), f"router.{name}")
-    return _assemble(config, w0, params)
+    arrays = [("w0", layer.w0, (config.d, config.d))]
+    for i, expert in enumerate(layer.experts):
+        arrays += [(f"experts.{i}.{ab}", getattr(expert, ab), shapes[f"{ab}{i}"]) for ab in "ab"]
+    arrays += [(f"router.{name}", getattr(layer.router, name), shapes.get(name))
+               for name in _ROUTER_ARRAYS]
+    for where, arr, shape in arrays:
+        if shape is None and arr is not None:
+            raise ConfigError(f"layer.{where} must be null for this config")
+        if shape is not None and (arr is None or arr.shape != shape):
+            got = "null" if arr is None else f"a {arr.shape[0]}x{arr.shape[1]} matrix"
+            raise ConfigError(f"layer.{where} must be a {shape[0]}x{shape[1]} matrix, got {got}")
+    return layer
 
 
 def load_layer(path) -> AdapterLayer:

@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +24,11 @@ from .adapter import (
     AdapterLayer,
     count_trainable_routing_params,
     init_adapter,
-    layer_to_doc,
     mlp_variant,
 )
 from .analysis import separation, summarize, summary_csv
 from .autograd import GRADCHECK_H, GRADCHECK_TOL, gradcheck_trials
-from .numkit import ConfigError, Rng, from_doc, read_json
+from .numkit import ConfigError, Rng, from_doc, read_json, to_doc
 from .synth import (
     DatasetConfig,
     Sample,
@@ -132,11 +131,11 @@ class LogHeader:
 
 
 def _seed_header(config: ExperimentConfig) -> dict:
-    return asdict(LogHeader("header", config.train.seed, config.dataset.seed))
+    return to_doc(LogHeader("header", config.train.seed, config.dataset.seed))
 
 
 def _jsonl(header: dict, records) -> str:
-    return "".join(json.dumps(doc) + "\n" for doc in (header, *map(asdict, records)))
+    return "".join(json.dumps(doc) + "\n" for doc in (header, *map(to_doc, records)))
 
 
 def _artifacts(directory, *names: str) -> list[Path]:
@@ -171,7 +170,7 @@ def cmd_train(config: ExperimentConfig) -> int:
     _write({
         metrics: _jsonl(header, result.metrics),
         thetas: _jsonl(header, result.thetas),
-        layer: json.dumps(layer_to_doc(result.layer)) + "\n",
+        layer: json.dumps(to_doc(result.layer)) + "\n",
     })
     for task, mse in result.final_per_task_mse.items():
         print(f"task {task}: final mse {mse:.6g}")
@@ -241,16 +240,16 @@ def cmd_paramcount(config: ExperimentConfig) -> int:
 
 def _load_theta_records(path: Path) -> list[ThetaRecord]:
     records = []
-    for ln, doc in read_json(path, lines=True):
+    for ln, doc in read_json(path, "angle log", lines=True):
         try:
             if ln == 1 and isinstance(doc, dict) and doc.get("type") == "header":
                 from_doc(LogHeader, doc, "header")
             else:
                 records.append(from_doc(ThetaRecord, doc, "record"))
         except ConfigError as e:
-            raise ConfigError(f"{path}:{ln}: {e}") from None
+            raise ConfigError(f"angle log {path}:{ln}: {e}") from None
     if not records:
-        raise ConfigError(f"{path} contains no theta records")
+        raise ConfigError(f"angle log {path} contains no theta records")
     return records
 
 

@@ -1,5 +1,6 @@
 """Dense float64 helpers, a portable deterministic PRNG, weight initialization,
-and the JSON readers of configs and files (`from_doc`, `from_json`, `read_json`).
+and the one JSON reader and writer of configs, layer files and angle logs
+(`from_doc`, `from_json`, `to_doc`, `read_json`).
 
 Arrays are plain numpy ndarrays (row-major, 64-bit floats); matrices are 2-D,
 vectors 1-D. Everything here is desk-scale plumbing: correctness and
@@ -12,6 +13,7 @@ import dataclasses
 import json
 import math
 import sys
+import types
 import typing
 from pathlib import Path
 
@@ -33,14 +35,12 @@ _KINDS = {int: "a whole number", float: "a finite number", str: "a string"}
 
 
 def from_doc(cls, doc, where: str = ""):
-    """Build the config dataclass `cls` from the JSON object `doc`.
+    """Build the dataclass `cls` from the JSON object `doc`.
 
     Field names, defaults and types all come from `cls`. Unknown and missing
-    keys are rejected; an int field takes a whole number and never a bool, a
-    float field a finite number, and a dataclass field a nested object read
-    the same way. `where` is the dotted name of `doc`: every error names the
-    dotted field, and range errors raised by `cls.__post_init__` get it as a
-    prefix.
+    keys are rejected, and each value is read by `from_json`. `where` is the
+    dotted name of `doc`: every error names the dotted field, and range
+    errors raised by `cls.__post_init__` get it as a prefix.
     """
     prefix = f"{where}." if where else ""
     if not isinstance(doc, dict):
@@ -72,15 +72,46 @@ def is_finite_number(value) -> bool:
     )
 
 
+@dataclasses.dataclass(frozen=True)
+class _MatrixDoc:
+    """The JSON form of a `Matrix`: its shape and its row-major entries."""
+
+    rows: int
+    cols: int
+    data: list[float]
+
+    def __post_init__(self):
+        for name, size in (("rows", self.rows), ("cols", self.cols)):
+            if size < 0:
+                raise ConfigError(f"{name} must be >= 0, got {size}")
+        if len(self.data) != self.rows * self.cols:
+            raise ConfigError(
+                f"data must hold rows x cols = {self.rows * self.cols} values, got {len(self.data)}"
+            )
+
+
 def from_json(tp, value, name: str):
-    """`value` checked against the field type `tp` (int, float, str, a config
-    dataclass, or one of these or None); `name` is the field's dotted name."""
-    if dataclasses.is_dataclass(tp):
-        return from_doc(tp, value, name)
-    options = typing.get_args(tp) or (tp,)
+    """`value` checked against the field type `tp`; `name` is the field's
+    dotted name. `tp` is int, float, str, a dataclass (read by `from_doc`),
+    `Matrix` (read from its `_MatrixDoc`) or `list[X]` of one of these, or
+    one of these or None. An int takes a whole number and never a bool, and
+    a float a finite number."""
+    options = typing.get_args(tp) if isinstance(tp, types.UnionType) else (tp,)
     if value is None and type(None) in options:
         return None
     kind = next(t for t in options if t is not type(None))
+    if dataclasses.is_dataclass(kind):
+        return from_doc(kind, value, name)
+    if kind is Matrix:
+        m = from_doc(_MatrixDoc, value, name)
+        return np.array(m.data, dtype=np.float64).reshape(m.rows, m.cols)
+    if typing.get_origin(kind) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list, got {json.dumps(value)}")
+        (item,) = typing.get_args(kind)
+        if item is float and all(map(is_finite_number, value)):
+            return value  # a matrix's data in one pass; else name the first bad entry
+        return [from_json(item, v, f"{name}.{i}") for i, v in enumerate(value)]
     if kind is int and isinstance(value, float) and value.is_integer():
         value = int(value)
     if kind is int:
@@ -95,6 +126,19 @@ def from_json(tp, value, name: str):
     return value
 
 
+def to_doc(obj):
+    """The JSON document of `obj` that `from_json` reads back: a dataclass
+    becomes an object of its fields, a `Matrix` its `_MatrixDoc`, and a list
+    a list of documents; any other value is kept as it is."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: to_doc(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return to_doc(_MatrixDoc(*obj.shape, obj.ravel().tolist()))
+    if isinstance(obj, list):
+        return [to_doc(v) for v in obj]
+    return obj
+
+
 def _unique_keys(pairs) -> dict:
     """The JSON object of `pairs`, refusing a key that occurs twice."""
     doc = {}
@@ -105,12 +149,12 @@ def _unique_keys(pairs) -> dict:
     return doc
 
 
-def read_json(path, kind: str = "", *, lines: bool = False):
+def read_json(path, kind: str, *, lines: bool = False):
     """The JSON document in the UTF-8 file `path`; with `lines`, the (line
     number, document) of each non-blank line. A file that cannot be read, is
     not UTF-8 or not JSON, or holds an object with a duplicate key, raises a
     one-line ConfigError naming "<kind> <path>" (and the line)."""
-    name = f"{kind} {path}" if kind else str(path)
+    name = f"{kind} {path}"
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:

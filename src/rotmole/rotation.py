@@ -167,10 +167,11 @@ def _orthogonal_unit(e1: Vector) -> Vector:
 def decompose_transform(u: Vector, v: Vector) -> tuple[float, float, RotationPlane]:
     """Split the map u -> v into (scale, in-plane angle, plane).
 
-    scale * apply_rotation(u, plane, angle) reconstructs v. The angle sign
-    comes from two-argument arctangent over the planar coordinates, so the
-    result lies in (-pi, pi]. Anti-parallel inputs get angle pi on an
-    arbitrary plane through u.
+    scale * apply_rotation(u, plane, angle) reconstructs v. The plane is
+    build_plane(u, v): e1 along u and e2 toward v, so v's in-plane
+    coordinates are (q_dot_e1, resid_norm), the angle is their arctangent, in
+    [0, pi], and the scale is |v| / |u|. Anti-parallel inputs get angle pi on
+    an arbitrary plane through u.
     """
     nu, nv = l2_norm(u), l2_norm(v)
     if nu <= DEGENERATE_EPS or nv <= DEGENERATE_EPS:
@@ -178,18 +179,9 @@ def decompose_transform(u: Vector, v: Vector) -> tuple[float, float, RotationPla
     plane = build_plane(u, v)
     if plane.degenerate:
         # v is (anti-)parallel to u: pure scaling, or scaling plus a half turn.
-        e1 = u / nu
-        if float(v.dot(e1)) > 0.0:
+        if plane.q_dot_e1 > 0.0:
             return nv / nu, 0.0, plane
-        e2 = _orthogonal_unit(e1)
-        half_turn = RotationPlane(e1, e2, False, u_norm=nu, q_dot_e1=float(v.dot(e1)))
+        e1 = u / nu
+        half_turn = RotationPlane(e1, _orthogonal_unit(e1), False, nu, plane.q_dot_e1)
         return nv / nu, math.pi, half_turn
-    u1, u2 = float(u.dot(plane.e1)), float(u.dot(plane.e2))
-    v1, v2 = float(v.dot(plane.e1)), float(v.dot(plane.e2))
-    angle = math.atan2(v2, v1) - math.atan2(u2, u1)
-    if angle <= -math.pi:
-        angle += 2.0 * math.pi
-    elif angle > math.pi:
-        angle -= 2.0 * math.pi
-    scale = math.hypot(v1, v2) / math.hypot(u1, u2)
-    return scale, angle, plane
+    return nv / nu, math.atan2(plane.resid_norm, plane.q_dot_e1), plane

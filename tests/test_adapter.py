@@ -13,7 +13,6 @@ from rotmole.adapter import (
     forward_batch,
     init_adapter,
     layer_from_doc,
-    layer_to_doc,
     load_layer,
     mlp_hidden_dim,
     mlp_variant,
@@ -22,7 +21,7 @@ from rotmole.adapter import (
     trainable_params,
 )
 from rotmole.autograd import randomize_layer
-from rotmole.numkit import ConfigError, Rng, ShapeError, softmax
+from rotmole.numkit import ConfigError, Rng, ShapeError, softmax, to_doc
 
 from oracle import expert_terms, same_bits
 
@@ -285,7 +284,7 @@ def test_serialization_round_trip():
         layer = init_adapter(config, Rng(77))
         for expert in layer.experts:
             expert.b[...] = Rng(13).normals(8 * 3).reshape(8, 3)
-        doc = json.loads(json.dumps(layer_to_doc(layer)))
+        doc = json.loads(json.dumps(to_doc(layer)))
         back = layer_from_doc(doc)
         assert back.config == layer.config
         assert np.array_equal(back.w0, layer.w0)
@@ -303,7 +302,7 @@ def test_serialization_round_trip():
 def test_serialization_file_round_trip(tmp_path):
     layer = init_adapter(small_config(), Rng(123))
     path = tmp_path / "layer.json"
-    path.write_text(json.dumps(layer_to_doc(layer)) + "\n")  # as `rotmole train` writes it
+    path.write_text(json.dumps(to_doc(layer)) + "\n")  # as `rotmole train` writes it
     back = load_layer(path)
     assert np.array_equal(back.w0, layer.w0)
     y1, _ = forward(layer, Rng(9).normals(8))
@@ -312,7 +311,7 @@ def test_serialization_file_round_trip(tmp_path):
 
 
 def _layer_doc(mode="rotmole"):
-    return json.loads(json.dumps(layer_to_doc(init_adapter(small_config(mode), Rng(77)))))
+    return json.loads(json.dumps(to_doc(init_adapter(small_config(mode), Rng(77)))))
 
 
 def test_layer_file_missing_or_unknown_key_names_it(tmp_path):
@@ -320,11 +319,11 @@ def test_layer_file_missing_or_unknown_key_names_it(tmp_path):
     del doc["router"]["q"]
     path = tmp_path / "layer.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match=r"missing field 'router\.q'"):
+    with pytest.raises(ConfigError, match=r"missing field 'layer\.router\.q'"):
         load_layer(path)
     doc = _layer_doc()
     doc["experts"][1]["c"] = None
-    with pytest.raises(ConfigError, match=r"unknown layer field 'experts\.1\.c'"):
+    with pytest.raises(ConfigError, match=r"unknown field 'layer\.experts\.1\.c'"):
         layer_from_doc(doc)
 
 
@@ -333,24 +332,24 @@ def test_layer_file_part_not_an_object_rejected():
         layer_from_doc([])
     doc = _layer_doc()
     doc["experts"][1] = [0.0]
-    with pytest.raises(ConfigError, match=r"^layer field 'experts\.1' must be a JSON object$"):
+    with pytest.raises(ConfigError, match=r"^layer\.experts\.1 must be a JSON object$"):
         layer_from_doc(doc)
     for field in ("router", "w0"):
         doc = _layer_doc()
         doc[field] = "x"
-        with pytest.raises(ConfigError, match=rf"^layer field '{field}' must be a JSON object$"):
+        with pytest.raises(ConfigError, match=rf"^layer\.{field} must be a JSON object$"):
             layer_from_doc(doc)
 
 
 def test_layer_file_wrong_shape_rejected():
     doc = _layer_doc()
     doc["experts"][0]["b"] = {"rows": 3, "cols": 8, "data": [0.0] * 24}  # b0 is (8, 3)
-    with pytest.raises(ConfigError, match=r"'experts\.0\.b' must be a 8x3 matrix"):
+    with pytest.raises(ConfigError, match=r"layer\.experts\.0\.b must be a 8x3 matrix"):
         layer_from_doc(doc)
     for bad in ("0.5", float("nan"), True):
         doc = _layer_doc()
         doc["w0"]["data"][0] = bad
-        with pytest.raises(ConfigError, match=r"'w0\.data' must be a list of finite numbers"):
+        with pytest.raises(ConfigError, match=r"layer\.w0\.data\.0 must be a finite number"):
             layer_from_doc(doc)
     doc = _layer_doc()
     doc["experts"].pop()
@@ -358,7 +357,7 @@ def test_layer_file_wrong_shape_rejected():
         layer_from_doc(doc)
     doc = _layer_doc()
     doc["config"]["d"] = 2**20  # the layout is checked, never allocated: W0 would take 8 TiB
-    with pytest.raises(ConfigError, match=r"'w0' must be a 1048576x1048576 matrix"):
+    with pytest.raises(ConfigError, match=r"layer\.w0 must be a 1048576x1048576 matrix"):
         layer_from_doc(doc)
 
 
@@ -366,9 +365,9 @@ def test_layer_file_sizes_take_whole_numbers_only():
     # An n = 1 layer has an 8x1 w_g and a 1x3 q, and true == 1 in Python.
     layer = init_adapter(AdapterConfig(d=8, r=3, n=1, k=1), Rng(78))
     for name, key in (("w_g", "cols"), ("q", "rows")):
-        doc = json.loads(json.dumps(layer_to_doc(layer)))
+        doc = json.loads(json.dumps(to_doc(layer)))
         doc["router"][name][key] = True
-        with pytest.raises(ConfigError, match=rf"'router\.{name}\.{key}' must be a whole number, got true"):
+        with pytest.raises(ConfigError, match=rf"layer\.router\.{name}\.{key} must be a whole number, got true"):
             layer_from_doc(doc)
         doc["router"][name][key] = 1.0  # a whole float is taken as an int, as in configs
         assert np.array_equal(getattr(layer_from_doc(doc).router, name), getattr(layer.router, name))
@@ -378,7 +377,7 @@ def test_layer_file_draws_nothing(monkeypatch):
     # The loader takes the layout from the shape table, not from a throwaway
     # random layer.
     layers = [init_adapter(small_config(mode, r=r), Rng(79)) for mode in MODES for r in (2, 3)]
-    docs = [json.loads(json.dumps(layer_to_doc(layer))) for layer in layers]
+    docs = [json.loads(json.dumps(to_doc(layer))) for layer in layers]
 
     def no_draw(*args):
         raise AssertionError("layer_from_doc drew a random matrix")
@@ -398,15 +397,29 @@ def test_layer_file_mlp_hidden_outside_mlp_gate_rejected(tmp_path):
     doc["config"]["mlp_hidden"] = 5
     path = tmp_path / "layer.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match=r"^config\.mlp_hidden must be null outside mlp_gate"):
+    with pytest.raises(ConfigError, match=r"^layer\.config\.mlp_hidden must be null outside mlp_gate"):
         load_layer(path)
 
 
 def test_layer_file_array_foreign_to_mode_rejected():
     doc = _layer_doc("scaling_only")
     doc["router"]["w_theta"] = _layer_doc("rotmole")["router"]["w_theta"]
-    with pytest.raises(ConfigError, match=r"'router\.w_theta' must be null"):
+    with pytest.raises(ConfigError, match=r"layer\.router\.w_theta must be null"):
         layer_from_doc(doc)
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ({"rows": -2, "cols": -3, "data": [0.0] * 6}, "layer.w0.rows must be >= 0, got -2"),
+    ({"rows": 2, "cols": -3, "data": [0.0] * 6}, "layer.w0.cols must be >= 0, got -3"),
+    ({"rows": 8, "cols": 8, "data": [0.0] * 63},
+     "layer.w0.data must hold rows x cols = 64 values, got 63"),
+])
+def test_layer_file_matrix_sizes_rejected(matrix, message):
+    doc = _layer_doc()
+    doc["w0"] = matrix
+    with pytest.raises(ConfigError) as info:
+        layer_from_doc(doc)
+    assert str(info.value) == message
 
 
 def test_gate_normalization_invariant():
@@ -420,35 +433,24 @@ def test_gate_normalization_invariant():
             assert len(set(decision.selected)) == len(decision.selected)
 
 
-def test_load_layer_missing_file_names_path(tmp_path):
-    path = tmp_path / "nope.json"
-    with pytest.raises(ConfigError, match=r"cannot read layer .*nope\.json") as info:
-        load_layer(path)
-    assert "\n" not in str(info.value)
+@pytest.mark.parametrize("pinned", [(0, 0), (0,), (0, 1, 2), (-1, 0), (5, 0), (0.0, 1), (True, 0)],
+                         ids=str)
+def test_force_selected_must_name_k_distinct_experts(pinned):
+    # At n = 3, k = 2 a repeat or a short set would route expert 0 alone, -1
+    # would route expert 2, and 5 would raise a bare IndexError.
+    layer = init_adapter(small_config(n=3, k=2), Rng(80))
+    with pytest.raises(ValueError) as info:
+        forward(layer, Rng(81).normals(8), force_selected=pinned)
+    assert str(info.value) == (
+        f"force_selected must be k=2 distinct expert indices in [0, n=3), got {pinned!r}"
+    )
 
 
-def test_load_layer_invalid_json_names_path(tmp_path):
-    path = tmp_path / "layer.json"
-    path.write_text("{not json")
-    with pytest.raises(ConfigError, match=r"layer .*layer\.json is not valid JSON") as info:
-        load_layer(path)
-    assert "\n" not in str(info.value)
-
-
-def test_load_layer_duplicate_key_names_it(tmp_path):
-    path = tmp_path / "layer.json"
-    path.write_text(json.dumps(_layer_doc()).replace('"router": {', '"router": {"w_g": null, '))
-    with pytest.raises(ConfigError) as info:
-        load_layer(path)
-    assert str(info.value) == f"layer {path}: duplicate key 'w_g'"
-
-
-def test_load_layer_not_utf8_names_path(tmp_path):
-    path = tmp_path / "layer.json"
-    path.write_bytes(b"\xff\xfe{")
-    with pytest.raises(ConfigError, match=r"layer .*layer\.json is not valid UTF-8") as info:
-        load_layer(path)
-    assert "\n" not in str(info.value)
+def test_force_selected_takes_numpy_indices():
+    layer = init_adapter(small_config(n=3, k=2), Rng(80))
+    x = Rng(81).normals(8)
+    y, _ = forward(layer, x, force_selected=(2, 0))
+    assert same_bits(forward(layer, x, force_selected=np.array([2, 0]))[0], y)
 
 
 # At k = 1 the per-sample route sets the one gate to exactly 1 without a

@@ -67,34 +67,39 @@ def test_load_config_missing_field_names_it(tmp_path):
         load_experiment_config(path)
 
 
-def test_load_config_invalid_json_exit_2(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    assert main(["train", "--config", str(path)]) == 2
-    assert "error" in capsys.readouterr().err
+CLI_LOADERS = {  # kind: the command that reads it, before the path
+    "config": ["train", "--config"],
+    "angle log": ["analyze", "--snapshots", "0", "--thetas"],
+}
+FILE_FAULTS = {  # fault: (file bytes, start of the message for a JSON file, for an angle log)
+    "missing": (None, "cannot read {}: ", "cannot read {}: "),
+    "not UTF-8": (b"\xff\xfe{", "{} is not valid UTF-8: ", "{} is not valid UTF-8: "),
+    "not JSON": (b"{not json", "{} is not valid JSON: ", "{}:2: invalid JSON: "),
+    "duplicate key": (b'{"a": {"b": 1, "b": 2}}', "{}: duplicate key 'b'", "{}:2: duplicate key 'b'"),
+}
 
 
-NOT_UTF8 = b"\xff\xfe{"
-
-
-def test_load_config_not_utf8_exit_2(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_bytes(NOT_UTF8)
-    assert main(["train", "--config", str(path)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert "bad.json is not valid UTF-8" in err[0], err[0]
-
-
-def test_load_config_duplicate_key_exit_2(tmp_path, capsys):
-    """A key given twice is refused, not read as its last value."""
-    path = write_config(tmp_path)
-    text = path.read_text()
-    assert '"lr0": 0.0003' in text
-    path.write_text(text.replace('"lr0": 0.0003', '"lr0": 0.1, "lr0": 5.0'))
-    assert main(["paramcount", "--config", str(path)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: config {path}: duplicate key 'lr0'"]
+@pytest.mark.parametrize("fault", FILE_FAULTS)
+@pytest.mark.parametrize("kind", ["config", "layer", "angle log"])
+def test_unreadable_file_fails_in_one_line(tmp_path, capsys, kind, fault):
+    """Each loader names the file's kind and path, and an angle log's line, in
+    one line; through the CLI it exits 2. The angle log's fault is on line 2,
+    after a header."""
+    data, message, log_message = FILE_FAULTS[fault]
+    path = tmp_path / "file.json"
+    if data is not None:
+        header = b'{"type": "header", "init_seed": 1, "data_seed": 2}\n'
+        path.write_bytes(header + data if kind == "angle log" else data)
+    expected = (log_message if kind == "angle log" else message).format(f"{kind} {path}")
+    if kind == "layer":
+        with pytest.raises(ConfigError) as info:
+            load_layer(path)
+        err = str(info.value).splitlines()
+    else:
+        assert main([*CLI_LOADERS[kind], str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        expected = f"error: {expected}"
+    assert len(err) == 1 and err[0].startswith(expected), err
 
 
 def test_load_config_cross_field_validation(tmp_path):
@@ -435,20 +440,6 @@ def test_analyze_prints_separation_per_snapshot_named(tmp_path, capsys):
     assert main(["analyze", "--thetas", str(thetas), "--snapshots", "0,0", "--bins", "4"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[:2] == ["step 0: separation 0.75"] * 2
-
-
-def test_analyze_missing_file_exit_2(tmp_path, capsys):
-    assert main(["analyze", "--thetas", str(tmp_path / "nope.jsonl"),
-                 "--snapshots", "0"]) == 2
-
-
-def test_analyze_not_utf8_exit_2(tmp_path, capsys):
-    thetas = tmp_path / "thetas.jsonl"
-    thetas.write_bytes(NOT_UTF8)
-    assert main(["analyze", "--thetas", str(thetas), "--snapshots", "0"]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert "thetas.jsonl is not valid UTF-8" in err[0], err[0]
 
 
 def test_analyze_empty_records_exit_2(tmp_path, capsys):

@@ -184,6 +184,6 @@ def test_decompose_reconstruction_random():
         dim = 2 + trial % 5
         u, v = rng.normals(dim), rng.normals(dim)
         scale, angle, plane = decompose_transform(u, v)
-        assert -math.pi < angle <= math.pi
+        assert 0.0 <= angle <= math.pi
         rec = scale * apply_rotation(u, plane, angle)
         assert np.abs(rec - v).max() < 1e-10

@@ -12,12 +12,11 @@ from rotmole.adapter import (
     forward,
     init_adapter,
     layer_from_doc,
-    layer_to_doc,
     load_layer,
     trainable_params,
 )
 from rotmole.autograd import randomize_layer
-from rotmole.numkit import ConfigError, Rng
+from rotmole.numkit import ConfigError, Rng, to_doc
 from rotmole.synth import DatasetConfig, make_rotation_separable_tasks, sample_batch
 from rotmole.trainer import (
     ThetaRecord,
@@ -252,7 +251,7 @@ def test_layer_and_task_arrays_stay_c_contiguous(mode, tmp_path):
                            mlp_hidden=5 if mode == "mlp_gate" else None)
     layer = init_adapter(config, Rng(3))
     assert_c_contiguous(layer, "init_adapter")
-    doc = json.loads(json.dumps(layer_to_doc(layer)))
+    doc = json.loads(json.dumps(to_doc(layer)))
     assert_c_contiguous(layer_from_doc(doc), "layer_from_doc")
     path = tmp_path / "layer.json"
     path.write_text(json.dumps(doc))
@@ -281,4 +280,23 @@ def test_no_module_imports_a_private_name_of_a_sibling():
             if isinstance(node, ast.ImportFrom) and (node.level or node.module == "rotmole"):
                 found += [(path.name, alias.name) for alias in node.names
                           if alias.name.startswith("_")]
+    assert found == []
+
+
+def test_only_numkit_reads_json_or_writes_a_matrix():
+    # Configs, layer files and angle logs have one reader and one writer, in
+    # numkit: no other module parses JSON or spells a matrix's JSON keys.
+    src = Path(__file__).resolve().parents[1] / "src" / "rotmole"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "numkit.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "loads"
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                found.append((path.name, node.lineno, "json.loads"))
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                found += [(path.name, node.lineno, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Constant) and node.value in ("rows", "cols", "data"):
+                found.append((path.name, node.lineno, node.value))
     assert found == []
